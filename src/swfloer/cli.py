@@ -30,6 +30,7 @@ from .extalg import (
     embed_bipoly,
     parse_class,
     primitive_basis,
+    primitive_dim,
     render_class,
     render_frac,
     wedge,
@@ -236,7 +237,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (VerificationFailure, SingularMatrix, InconsistentRecursion) as e:
         sys.stderr.write(f"{type(e).__name__}: {e}\n")
         return 1
-    except FileNotFoundError as e:
+    except OSError as e:
         sys.stderr.write(f"{type(e).__name__}: {e}\n")
         return 2
 
@@ -291,8 +292,7 @@ def check_presentation_basis(cases) -> List[str]:
                           key=lambda ab: (ab[0] + ab[1], -ab[0]))
             if sorted(quo.basis) != sorted(want):
                 fails.append(f"({g},{r}) k={k}: basis {quo.basis}")
-            prim = comb(2 * g, k) - (comb(2 * g, k - 2) if k >= 2 else 0)
-            total += prim * quo.dim
+            total += primitive_dim(g, k) * quo.dim
         if total != betti_total(g, d):
             fails.append(f"({g},{r}): weighted sector sum {total}")
     return fails

@@ -31,6 +31,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError, GenusMismatch
@@ -310,6 +311,15 @@ def primitive_basis(g: int, k: int) -> Tuple[ExtClass, ...]:
     return tuple(basis)
 
 
+def primitive_dim(g: int, k: int) -> int:
+    """dim Lambda_0^k = C(2g, k) - C(2g, k-2).
+
+    >>> [primitive_dim(3, k) for k in range(4)]
+    [1, 6, 14, 14]
+    """
+    return comb(2 * g, k) - (comb(2 * g, k - 2) if k >= 2 else 0)
+
+
 def embed_bipoly(g: int, poly) -> ExtClass:
     """Send a polynomial in eta, theta into A: eta -> x, theta -> theta_class.
 
@@ -341,6 +351,19 @@ _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 def render_frac(q: Fraction) -> str:
     q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def parse_frac(text: str) -> Fraction:
+    """Inverse of render_frac; a malformed rational or a zero denominator
+    is a DomainError.
+
+    >>> parse_frac("-3/6")
+    Fraction(-1, 2)
+    """
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"bad rational {text!r}") from None
 
 
 def render_mono(m: ExtMono) -> str:
@@ -435,7 +458,7 @@ def parse_class(g: int, text: str) -> ExtClass:
         body = tok
         parts = body.split("*", 1)
         if _RAT_RE.match(parts[0]) and parts[0] != "1":
-            coeff *= Fraction(parts[0])
+            coeff *= parse_frac(parts[0])
             body = parts[1] if len(parts) > 1 else "1"
         elif parts[0] == "1" and len(parts) == 1:
             body = "1"

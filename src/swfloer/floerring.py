@@ -23,17 +23,23 @@ agreement is exercised by the test suite, never assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import DomainError, InconsistentRecursion, VerificationFailure
-from .extalg import ExtClass, primitive_basis
+from .extalg import ExtClass, primitive_dim
 from .qlinalg import QMatrix, rref, solve
 from .swpair import PairingQuotient, SphereParams
-from .symprod import BiPoly, relation_R
+from .symprod import (
+    BiPoly,
+    SectorQuotient,
+    alpha_of,
+    relation_R,
+    sector_monomials,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -100,10 +106,6 @@ def _x_power(n: int) -> Poly:
 
 
 # -- the recursion ---------------------------------------------------------
-
-def alpha_of(d: int, k: int) -> int:
-    return (d - k) // 2 + 1
-
 
 def _check_gr(g: int, r: int) -> Tuple[int, int]:
     if g < 2:
@@ -263,93 +265,27 @@ def recursion_free_check(g: int, r: int) -> bool:
 
 # -- sector presentation ---------------------------------------------------
 
-class TildeSectorQuotient:
+@lru_cache(maxsize=None)
+def presentation_quotient(g: int, r: int, k: int) -> SectorQuotient:
     """One primitive sector of the presentation.
 
-    The quotient of Q[eta, theta], truncated above weight 2d+1, by the
-    ideal generated by the order-k relation, theta times the order-(k+1)
-    relation, and the nilpotence relations eta^(d+1) and theta^(d+1).
-    Construction row-reduces all monomial multiples of the generators
-    and verifies the claimed basis {eta^a theta^b : 2a+b <= d-k} is a
-    complement; failure raises.
+    The quotient of Q[eta, theta] by the ideal generated by the order-k
+    relation, theta times the order-(k+1) relation, and the nilpotence
+    relations eta^(d+1) and theta^(d+1), on the basis
+    {eta^a theta^b : 2a+b <= d-k}.  Every monomial of weight 2d+1 is
+    divisible by eta^(d+1) or theta^(d+1), hence the weight cap 2d+1.
     """
-
-    def __init__(self, g: int, r: int, k: int):
-        g, r = _check_gr(g, r)
-        d = g - 1 - r
-        if k < 0 or k > d:
-            raise DomainError(f"k must satisfy 0 <= k <= d, got k={k}")
-        self.g = g
-        self.r = r
-        self.k = k
-        self.d = d
-        cap = 2 * d + 1
-        self.basis = []
-        for m in range(d - k + 1):
-            for a in range(min(m, d - k - m), -1, -1):
-                self.basis.append((a, m - a))
-        basis_set = set(self.basis)
-        cols = [(a, b) for m in range(cap + 1) for a in range(m, -1, -1)
-                for b in (m - a,)]
-        cols.sort(key=lambda ab: (ab in basis_set, ab[0] + ab[1], -ab[0]))
-        self._cols = cols
-        index = {ab: j for j, ab in enumerate(cols)}
-        gens = [
-            tilde_relation(g, r, k),
-            BiPoly.theta(1) * tilde_relation(g, r, k + 1),
-            BiPoly.eta(d + 1),
-            BiPoly.theta(d + 1),
-        ]
-        rows = []
-        for gen in gens:
-            base = min(gen.weights())
-            for wm in range(cap - base + 1):
-                for i in range(wm + 1):
-                    shifted = gen * BiPoly.monomial(i, wm - i)
-                    row = [ZERO] * len(cols)
-                    nonzero = False
-                    for (a, b), c in shifted.terms.items():
-                        if a + b <= cap:
-                            row[index[(a, b)]] = c
-                            nonzero = True
-                    if nonzero:
-                        rows.append(row)
-        reduced, pivots, rank = rref(QMatrix(rows, ncols=len(cols)))
-        if rank != len(cols) - len(self.basis) or \
-                any(cols[p] in basis_set for p in pivots):
-            raise VerificationFailure(
-                f"sector (g,r,k)=({g},{r},{k}): relations do not complement "
-                f"the claimed basis")
-        self._reduced = reduced
-        self._pivots = pivots
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def normal_form(self, p: BiPoly) -> BiPoly:
-        """Canonical representative on the sector basis.  Terms above the
-        truncation weight are nilpotent-divisible, hence already zero."""
-        cap = 2 * self.d + 1
-        vec = [ZERO] * len(self._cols)
-        index = {ab: j for j, ab in enumerate(self._cols)}
-        for (a, b), c in p.terms.items():
-            if a + b <= cap:
-                vec[index[(a, b)]] = c
-        for i, piv in enumerate(self._pivots):
-            c = vec[piv]
-            if c:
-                for j in range(len(vec)):
-                    rij = self._reduced[(i, j)]
-                    if rij:
-                        vec[j] -= c * rij
-        return BiPoly({self._cols[j]: vec[j]
-                       for j in range(len(vec)) if vec[j]})
-
-
-@lru_cache(maxsize=None)
-def presentation_quotient(g: int, r: int, k: int) -> TildeSectorQuotient:
-    return TildeSectorQuotient(g, r, k)
+    g, r = _check_gr(g, r)
+    d = g - 1 - r
+    if k < 0 or k > d:
+        raise DomainError(f"k must satisfy 0 <= k <= d, got k={k}")
+    gens = [
+        tilde_relation(g, r, k),
+        BiPoly.theta(1) * tilde_relation(g, r, k + 1),
+        BiPoly.eta(d + 1),
+        BiPoly.theta(d + 1),
+    ]
+    return SectorQuotient(gens, sector_monomials(d - k), 2 * d + 1)
 
 
 def presentation_dimension(g: int, r: int) -> int:
@@ -357,11 +293,8 @@ def presentation_dimension(g: int, r: int) -> int:
     sector dimension, summed over prefactor degrees."""
     g, r = _check_gr(g, r)
     d = g - 1 - r
-    total = 0
-    for k in range(d + 1):
-        prim = comb(2 * g, k) - (comb(2 * g, k - 2) if k >= 2 else 0)
-        total += prim * presentation_quotient(g, r, k).dim
-    return total
+    return sum(primitive_dim(g, k) * presentation_quotient(g, r, k).dim
+               for k in range(d + 1))
 
 
 # -- the oracle ring -------------------------------------------------------
@@ -384,11 +317,6 @@ def build_oracle(g: int, r: int) -> FloerRing:
     onto |r| by the conjugation symmetry of the invariants."""
     _check_gr(g, r)
     return FloerRing(SphereParams(g, abs(r)))
-
-
-def product(ring: FloerRing, u: ExtClass, v: ExtClass) -> ExtClass:
-    """Normal form of the wedge in the oracle quotient."""
-    return ring.product(u, v)
 
 
 def deformation_components(ring: FloerRing, f1: ExtClass,

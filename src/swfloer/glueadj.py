@@ -30,7 +30,7 @@ from .extalg import (
     wedge,
 )
 from .floerring import FloerRing, build_oracle, tilde_relation
-from .qlinalg import QMatrix, invert, kernel_basis, rref
+from .qlinalg import QMatrix, invert, kernel_basis, reduce_by_rref, rref
 from .swpair import BasisLabel, SphereParams, monos_of_degree, pair
 
 ZERO = Fraction(0)
@@ -142,7 +142,12 @@ def parse_sw_table(text: str) -> SWTable:
 
 def load_sw_table(path: str) -> SWTable:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_sw_table(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise DomainError(f"{path}: not UTF-8 text ({e.reason} at byte "
+                              f"{e.start})") from None
+    return parse_sw_table(text)
 
 
 # -- the universal matrix --------------------------------------------------
@@ -301,15 +306,7 @@ def _vanishing_cycle_ideal(g: int, r: int) -> Tuple[QMatrix, Tuple[int, ...]]:
 
 def _in_ideal(g: int, r: int, vec: Sequence[Fraction]) -> bool:
     reduced, pivots = _vanishing_cycle_ideal(g, r)
-    work = list(vec)
-    for i, p in enumerate(pivots):
-        c = work[p]
-        if c:
-            for jj in range(len(work)):
-                rij = reduced[i, jj]
-                if rij:
-                    work[jj] -= c * rij
-    return not any(work)
+    return not any(reduce_by_rref(vec, reduced, pivots))
 
 
 def vanishing_witness(g: int, r: int, m: ExtMono) -> bool:

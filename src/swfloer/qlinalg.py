@@ -6,10 +6,12 @@ pinned down once and for all:
 
   * ``rref`` returns the reduced row echelon form, which is unique, together
     with the strictly increasing tuple of pivot columns and the rank.
-  * ``kernel_basis`` derives its basis from the rref by setting one free
-    variable to 1 (free columns taken in increasing order) and the others
-    to 0.  Two mathematically equal matrices therefore always produce the
-    identical kernel basis.
+  * ``kernel_basis`` (through ``kernel_from_rref``) derives its basis
+    from the rref by setting one free variable to 1 (free columns taken
+    in increasing order) and the others to 0.  Two mathematically equal
+    matrices therefore always produce the identical kernel basis.
+  * ``reduce_by_rref`` reduces a vector modulo the row space of an rref
+    by clearing its pivot coordinates.
   * ``solve`` returns the particular solution with all free variables zero,
     or None when the system is inconsistent.
 
@@ -187,23 +189,58 @@ def rref(m: QMatrix) -> Tuple[QMatrix, Tuple[int, ...], int]:
 
 
 def kernel_basis(m: QMatrix) -> List[Tuple[Fraction, ...]]:
-    """Canonical basis of the right kernel {v : m v = 0}.
+    """Canonical basis of the right kernel {v : m v = 0}; see
+    kernel_from_rref for the convention."""
+    rows, pivots = _rref_rows(m.to_rows(), m.ncols)
+    return kernel_from_rref(rows, pivots, m.ncols)
+
+
+def kernel_from_rref(rows: Sequence[Sequence[Fraction]], pivots: Sequence[int],
+                     ncols: int) -> List[Tuple[Fraction, ...]]:
+    """Canonical kernel basis read off a reduced row echelon form.
 
     One basis vector per free column, free columns in increasing order;
     the chosen free variable is set to 1 and every other free variable
-    to 0, pivot variables solved from the rref.
+    to 0, pivot variables solved from the rref rows.
+
+    >>> r, p, _ = rref(QMatrix.from_rows([[1, 2, 0], [0, 0, 1]]))
+    >>> kernel_from_rref(r.to_rows(), p, 3)
+    [(Fraction(-2, 1), Fraction(1, 1), Fraction(0, 1))]
     """
-    rows, pivots = _rref_rows(m.to_rows(), m.ncols)
     pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
+    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for f in free:
-        v = [ZERO] * m.ncols
+        v = [ZERO] * ncols
         v[f] = ONE
         for i, p in enumerate(pivots):
             v[p] = -rows[i][f]
         basis.append(tuple(v))
     return basis
+
+
+def reduce_by_rref(vec: Sequence, reduced: QMatrix,
+                   pivots: Sequence[int]) -> List[Fraction]:
+    """Reduce vec modulo the row space of an rref.
+
+    Clears every pivot coordinate by subtracting multiples of the rref
+    rows; the result is zero exactly when vec lies in the row space, and
+    is otherwise the canonical representative supported off the pivots.
+
+    >>> r, p, _ = rref(QMatrix.from_rows([[1, 0, 2], [0, 1, 3]]))
+    >>> reduce_by_rref([1, 1, 0], r, p)
+    [Fraction(0, 1), Fraction(0, 1), Fraction(-5, 1)]
+    """
+    out = [_frac(x) for x in vec]
+    if len(out) != reduced.ncols:
+        raise DomainError("vector length mismatch")
+    for i, p in enumerate(pivots):
+        c = out[p]
+        if c:
+            for j, rij in enumerate(reduced.row(i)):
+                if rij:
+                    out[j] -= c * rij
+    return out
 
 
 def invert(m: QMatrix) -> QMatrix:

@@ -43,7 +43,7 @@ from .extalg import (
     top_eval,
     wedge,
 )
-from .qlinalg import QMatrix, invert, kernel_basis, rref
+from .qlinalg import QMatrix, invert, kernel_basis, kernel_from_rref, rref
 
 Rat = Fraction
 ZERO = Fraction(0)
@@ -180,17 +180,7 @@ def _graded_radical(params: SphereParams, degree: int,
         for m2 in monos_of_degree(params.g, qq):
             rows.append([mono_pair(params, m1, m2, n_filter) for m1 in cols])
     reduced, pivots, _ = rref(QMatrix(rows, ncols=len(cols)))
-    pivot_set = set(pivots)
-    kernel: List[Tuple[Fraction, ...]] = []
-    for f in range(len(cols)):
-        if f in pivot_set:
-            continue
-        v = [ZERO] * len(cols)
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -reduced[(i, f)]
-        kernel.append(tuple(v))
-    return kernel, pivots
+    return kernel_from_rref(reduced.to_rows(), pivots, len(cols)), pivots
 
 
 def _mixed_radical(params: SphereParams, n_filter: Optional[int] = None,

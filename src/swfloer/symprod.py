@@ -9,6 +9,9 @@ from the Jacobian.  This module computes:
     (1+zt)^(2g) / ((1-z)(1-zt^2)), coefficient of z^d;
   - the relation polynomials R_k in Q[eta, theta] whose multiples cut the
     ring out of the free module over the primitive exterior algebra;
+  - sector quotients (SectorQuotient): Q[eta, theta] modulo relation
+    polynomials on a certified monomial basis, used here and by the Floer
+    ring presentation in floerring;
   - sector normal forms: the canonical representative of a polynomial
     modulo (R_k, theta R_{k+1}, theta^(g-k+1)) on the monomial basis
     {eta^a theta^b : 2a + b <= d - k};
@@ -25,11 +28,11 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import DomainError, VerificationFailure
-from .extalg import render_frac
-from .qlinalg import QMatrix, rref
+from .extalg import parse_frac, primitive_dim, render_frac
+from .qlinalg import QMatrix, reduce_by_rref, rref
 from .swpair import PairingQuotient, SphereParams
 
 ZERO = Fraction(0)
@@ -181,7 +184,7 @@ def parse_bipoly(text: str) -> BiPoly:
         for factor in chunk.split("*"):
             factor = factor.strip()
             if _BP_RAT_RE.match(factor):
-                coeff *= Fraction(factor)
+                coeff *= parse_frac(factor)
                 saw_factor = True
                 continue
             m = _BP_FACTOR_RE.match(factor)
@@ -260,82 +263,78 @@ def relation_R(g: int, d: int, k: int) -> BiPoly:
     return BiPoly(terms)
 
 
-# -- sector reduction ------------------------------------------------------
+# -- sector quotients -------------------------------------------------------
 
-def _sector_basis(d: int, k: int) -> List[Tuple[int, int]]:
+def sector_monomials(top: int) -> List[Tuple[int, int]]:
+    """The monomials eta^a theta^b with 2a + b <= top, by weight and then
+    by eta exponent, highest first: the basis of a sector."""
     out = []
-    for m in range(d - k + 1):
-        for a in range(min(m, d - k - m), -1, -1):
+    for m in range(top + 1):
+        for a in range(min(m, top - m), -1, -1):
             out.append((a, m - a))
     return out
 
 
-class _SectorReducer:
-    """Row-reduction data for one primitive sector.
+class SectorQuotient:
+    """Q[eta, theta] modulo the ideal of some generators, on a monomial basis.
 
-    The ideal is generated by R_k, theta R_{k+1}, and theta^(g-k+1); its
-    weight-m piece is spanned by monomial multiples of the generators.
-    Columns are ordered with non-basis monomials first, so reduction
-    succeeds exactly when every pivot lands outside the claimed basis.
+    Construction row-reduces every monomial multiple of the generators up
+    to weight ``cap``, truncated above ``cap``, with columns ordered by
+    (in basis, weight, eta exponent descending), so the reduction certifies
+    the basis exactly when every pivot lands outside it; otherwise it
+    raises VerificationFailure.
+
+    The basis holds no monomial of weight ``cap``, so the certificate also
+    proves that the whole of weight ``cap`` lies in the ideal, and every
+    higher weight with it, being multiples of weight ``cap``: terms above
+    ``cap`` are zero in the quotient and ``normal_form`` drops them.
+    Truncating the rows loses nothing when the generators are homogeneous
+    (nothing is cut) or include powers of eta and theta that put all of
+    weight ``cap`` in the ideal outright; the generators of both callers
+    are of one kind or the other.
     """
 
-    def __init__(self, g: int, d: int, k: int):
-        self.g = g
-        self.d = d
-        self.k = k
-        self.basis = set(_sector_basis(d, k))
-        self.generators = [
-            relation_R(g, d, k),
-            BiPoly.theta(1) * relation_R(g, d, k + 1),
-            BiPoly.theta(g - k + 1),
-        ]
-        self._by_weight: Dict[int, Tuple[List[Tuple[int, int]], QMatrix, Tuple[int, ...]]] = {}
-
-    def _weight_data(self, m: int):
-        if m in self._by_weight:
-            return self._by_weight[m]
-        cols = sorted(((a, m - a) for a in range(m + 1)),
-                      key=lambda ab: (ab in self.basis, -ab[0]))
-        index = {ab: j for j, ab in enumerate(cols)}
+    def __init__(self, generators: Sequence[BiPoly],
+                 basis: Sequence[Tuple[int, int]], cap: int):
+        self.basis = list(basis)
+        self.cap = cap
+        in_basis = set(self.basis)
+        cols = sorted(((a, m - a) for m in range(cap + 1) for a in range(m + 1)),
+                      key=lambda ab: (ab in in_basis, ab[0] + ab[1], -ab[0]))
+        self._cols = cols
+        self._index = {ab: j for j, ab in enumerate(cols)}
         rows = []
-        for gen in self.generators:
-            wts = gen.weights()
-            if not wts:
+        for gen in generators:
+            if gen.is_zero():
                 continue
-            w = wts[0]
-            if w > m:
-                continue
-            for i in range(m - w + 1):
-                shifted = gen * BiPoly.monomial(i, m - w - i)
-                row = [ZERO] * len(cols)
-                for ab, c in shifted.terms.items():
-                    row[index[ab]] = c
-                rows.append(row)
+            low = gen.weights()[0]
+            for m in range(cap - low + 1):
+                for i in range(m + 1):
+                    rows.append(self._vector(gen * BiPoly.monomial(i, m - i)))
         reduced, pivots, rank = rref(QMatrix(rows, ncols=len(cols)))
-        n_basis = sum(1 for ab in cols if ab in self.basis)
-        if rank != len(cols) - n_basis or any(cols[p] in self.basis for p in pivots):
+        if rank != len(cols) - len(self.basis) or \
+                any(cols[p] in in_basis for p in pivots):
             raise VerificationFailure(
-                f"sector (g,d,k)=({self.g},{self.d},{self.k}) weight {m}: "
-                f"relations do not complement the claimed basis")
-        data = (cols, reduced, pivots)
-        self._by_weight[m] = data
-        return data
+                f"relations {', '.join(render_bipoly(g) for g in generators)} "
+                f"do not complement the basis {self.basis} up to weight {cap}")
+        self._reduced = reduced
+        self._pivots = pivots
 
-    def reduce(self, p: BiPoly) -> BiPoly:
-        out = BiPoly.zero()
-        for m in p.weights():
-            cols, reduced, pivots = self._weight_data(m)
-            comp = p.weight_component(m)
-            vec = [comp.coefficient(a, b) for (a, b) in cols]
-            for i, piv in enumerate(pivots):
-                c = vec[piv]
-                if c:
-                    for j in range(len(cols)):
-                        rij = reduced[(i, j)]
-                        if rij:
-                            vec[j] -= c * rij
-            out = out + BiPoly({cols[j]: vec[j] for j in range(len(cols)) if vec[j]})
-        return out
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    def _vector(self, p: BiPoly) -> List[Fraction]:
+        vec = [ZERO] * len(self._cols)
+        for (a, b), c in p.terms.items():
+            if a + b <= self.cap:
+                vec[self._index[(a, b)]] = c
+        return vec
+
+    def normal_form(self, p: BiPoly) -> BiPoly:
+        """Canonical representative of p on the basis."""
+        vec = reduce_by_rref(self._vector(p), self._reduced, self._pivots)
+        return BiPoly({ab: c for ab, c in zip(self._cols, vec) if c})
 
 
 class SymProdPresentation:
@@ -356,11 +355,9 @@ class SymProdPresentation:
             raise DomainError(f"d must satisfy 0 <= d <= g-1, got d={d}")
         self.g = g
         self.d = d
-        self._reducers: Dict[int, _SectorReducer] = {}
-        total = 0
-        for k in range(d + 1):
-            prim = comb(2 * g, k) - (comb(2 * g, k - 2) if k >= 2 else 0)
-            total += prim * len(_sector_basis(d, k))
+        self._quotients: Dict[int, SectorQuotient] = {}
+        total = sum(primitive_dim(g, k) * len(sector_monomials(d - k))
+                    for k in range(d + 1))
         if total != betti_total(g, d):
             raise VerificationFailure(
                 f"sector dimension sum {total} != Betti total "
@@ -368,7 +365,7 @@ class SymProdPresentation:
 
     def sector_basis(self, k: int) -> List[Tuple[int, int]]:
         self._check_k(k)
-        return _sector_basis(self.d, k)
+        return sector_monomials(self.d - k)
 
     def generators(self, k: int) -> Tuple[BiPoly, BiPoly]:
         self._check_k(k)
@@ -377,9 +374,11 @@ class SymProdPresentation:
 
     def normal_form(self, k: int, p: BiPoly) -> BiPoly:
         self._check_k(k)
-        if k not in self._reducers:
-            self._reducers[k] = _SectorReducer(self.g, self.d, k)
-        return self._reducers[k].reduce(p)
+        if k not in self._quotients:
+            gens = [*self.generators(k), BiPoly.theta(self.g - k + 1)]
+            self._quotients[k] = SectorQuotient(
+                gens, sector_monomials(self.d - k), self.d - k + 1)
+        return self._quotients[k].normal_form(p)
 
     def _check_k(self, k: int) -> None:
         if k < 0 or k > self.d:

@@ -1,8 +1,11 @@
 """Tests for the command-line frontend: output bytes and exit codes."""
 
+import signal
+
 import pytest
 
 from swfloer.cli import main
+from swfloer.symprod import BiPoly, sector_normal_form
 
 
 def run(capsys, *argv):
@@ -164,13 +167,60 @@ def test_glue_missing_file(tmp_path, capsys):
     code, _, err = run(capsys, "glue", "--g", "3", "--r", "2",
                        "--t1", str(t1), "--t2", str(tmp_path / "no.swt"))
     assert code == 2
+    assert err.startswith("FileNotFoundError:")
+
+
+def test_glue_directory_table(tmp_path, capsys):
+    t1 = tmp_path / "t1.swt"
+    t1.write_text("genus 3 r 2\n1 1\n", encoding="utf-8")
+    code, out, err = run(capsys, "glue", "--g", "3", "--r", "2",
+                         "--t1", str(t1), "--t2", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("IsADirectoryError:")
+    assert err.count("\n") == 1
+
+
+def test_glue_non_utf8_table(tmp_path, capsys):
+    t1 = tmp_path / "t1.swt"
+    t1.write_text("genus 3 r 2\n1 1\n", encoding="utf-8")
+    t2 = tmp_path / "t2.swt"
+    t2.write_bytes(b"genus 3 r 2\n1 \xff\xfe\n")
+    code, out, err = run(capsys, "glue", "--g", "3", "--r", "2",
+                         "--t1", str(t1), "--t2", str(t2))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("DomainError:")
+    assert err.count("\n") == 1
 
 
 def test_bad_expression(capsys):
-    code, _, err = run(capsys, "floer-nf", "--g", "3", "--r", "1",
-                       "--expr", "q7")
-    assert code == 2
-    assert err.startswith("DomainError:")
+    for argv in [("floer-nf", "--g", "3", "--r", "1", "--expr", "q7"),
+                 ("floer-nf", "--g", "3", "--r", "1", "--expr", "1/0*x"),
+                 ("sp-nf", "--g", "4", "--d", "2", "--k", "0",
+                  "--expr", "1/0*e")]:
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("DomainError:"), argv
+        assert err.count("\n") == 1, argv
+
+
+def test_sp_nf_high_power_is_bounded(capsys):
+    # terms above the sector's weight cap are dropped, not reduced, so a
+    # high power costs no more than a low one
+    def timeout(signum, frame):
+        raise TimeoutError("sector normal form of e^200 took over 10 s")
+    old = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        assert sector_normal_form(4, 2, 0, BiPoly.eta(200)).is_zero()
+        code, out, _ = run(capsys, "sp-nf", "--g", "4", "--d", "2",
+                           "--k", "0", "--expr", "e^200")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert code == 0
+    assert out == "0\n"
 
 
 def test_adjunct_torsion_rejected(capsys):

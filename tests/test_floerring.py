@@ -25,7 +25,6 @@ from swfloer.floerring import (
     poly_shift,
     presentation_dimension,
     presentation_quotient,
-    product,
     recursion_free_check,
     recursion_unique,
     seed_poly,
@@ -303,7 +302,7 @@ def test_oracle_negative_twist_same_ring():
 def test_product_top_degree_vanishes():
     ring = build_oracle(3, 1)
     x = ExtClass.x_power(3, 1)
-    assert product(ring, x, x).is_zero()
+    assert ring.product(x, x).is_zero()
 
 
 def test_product_cross_route_eta():

@@ -32,12 +32,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import DomainError, GenusMismatch
 from .qlinalg import QMatrix, kernel_basis
-
-Rat = Fraction
 
 
 class ExtMono(NamedTuple):
@@ -56,6 +54,22 @@ class ExtMono(NamedTuple):
 
 
 UNIT_MONO = ExtMono(0, ())
+
+
+def mono_weight(g: int, m: ExtMono) -> Tuple[int, ...]:
+    """Torus weight in Z^g: gamma_i has +e_i, gamma_(g+i) has -e_i, x has
+    0.  Weights add under wedge and top_eval vanishes off weight 0.
+
+    >>> mono_weight(2, ExtMono(1, (1, 2, 3)))
+    (0, 1)
+    """
+    w = [0] * g
+    for i in m.gammas:
+        if i <= g:
+            w[i - 1] += 1
+        else:
+            w[i - g - 1] -= 1
+    return tuple(w)
 
 
 def _check_mono(g: int, m: ExtMono) -> None:
@@ -140,9 +154,6 @@ class ExtClass:
 
     def degrees(self) -> List[int]:
         return sorted({m.degree for m in self.terms})
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
 
     def degree(self) -> Optional[int]:
         """Degree if homogeneous (None for 0); DomainError otherwise."""

@@ -27,10 +27,9 @@ from .extalg import (
     embed_bipoly,
     parse_monomial,
     render_mono,
-    wedge,
 )
-from .floerring import FloerRing, build_oracle, tilde_relation
-from .qlinalg import QMatrix, invert, kernel_basis, reduce_by_rref, rref
+from .floerring import build_oracle, tilde_relation
+from .qlinalg import QMatrix, kernel_basis, reduce_by_rref, rref
 from .swpair import BasisLabel, SphereParams, monos_of_degree, pair
 
 ZERO = Fraction(0)
@@ -157,11 +156,12 @@ def universal_matrix(g: int, r: int) -> Tuple[Tuple[BasisLabel, ...], QMatrix]:
     """Inverse Gram matrix of the Floer pairing on the canonical basis.
 
     The matrix depends on the basis; the labels are returned with it so
-    callers can translate.  A singular Gram matrix would contradict the
-    nondegeneracy of the pairing on the quotient and aborts loudly.
+    callers can translate.  It is assembled from the weight-block
+    inverses the ring was built with; a singular block would contradict
+    the nondegeneracy of the pairing and has already aborted loudly.
     """
     ring = build_oracle(g, r)
-    return tuple(ring.labels), invert(ring.gram)
+    return tuple(ring.labels), ring.inverse_gram()
 
 
 def glue(g: int, r: int, t1: SWTable, t2: SWTable) -> Fraction:

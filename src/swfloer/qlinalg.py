@@ -31,8 +31,6 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, SingularMatrix
 
-Rat = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -85,23 +83,12 @@ class QMatrix:
     def zero(cls, nrows: int, ncols: int) -> "QMatrix":
         return cls([[ZERO] * ncols for _ in range(nrows)], ncols)
 
-    @classmethod
-    def from_columns(cls, cols: Sequence[Sequence], nrows: Optional[int] = None) -> "QMatrix":
-        cols = [list(c) for c in cols]
-        if cols:
-            nrows = len(cols[0])
-            return cls([[cols[j][i] for j in range(len(cols))] for i in range(nrows)])
-        return cls([[] for _ in range(nrows or 0)], 0) if nrows else cls([], 0)
-
     def __getitem__(self, ij: Tuple[int, int]) -> Fraction:
         i, j = ij
         return self._data[i][j]
 
     def row(self, i: int) -> Tuple[Fraction, ...]:
         return self._data[i]
-
-    def column(self, j: int) -> Tuple[Fraction, ...]:
-        return tuple(r[j] for r in self._data)
 
     def to_rows(self) -> List[List[Fraction]]:
         return [list(r) for r in self._data]

@@ -37,6 +37,7 @@ from .extalg import (
     ExtClass,
     ExtMono,
     _merge_sign,
+    mono_weight,
     monomials_up_to,
     primitive_basis,
     theta_power,
@@ -45,7 +46,6 @@ from .extalg import (
 )
 from .qlinalg import QMatrix, invert, kernel_basis, kernel_from_rref, rref
 
-Rat = Fraction
 ZERO = Fraction(0)
 
 
@@ -295,7 +295,8 @@ class PairingQuotient:
     canonical basis still represents a basis: construction certifies the
     complement property by a global dimension count (homogeneous radical
     pieces plus mixed corrections plus basis size equals the monomial
-    count) together with invertibility of the antidiagonal Gram blocks,
+    count) together with invertibility of the Gram blocks between
+    opposite torus weights lambda and -lambda (see extalg.mono_weight),
     which gives independence mod the radical.  Violation raises.
     """
 
@@ -308,15 +309,9 @@ class PairingQuotient:
         self.n_filter = n_filter
         cap = 2 * self.d
         self.monos = monomials_up_to(self.g, cap)
-        self._monos_by_deg: Dict[int, List[ExtMono]] = {}
-        for m in self.monos:
-            self._monos_by_deg.setdefault(m.degree, []).append(m)
 
         self.labels = canonical_labels(self.g, self.d)
         self.basis = [label_element(self.g, L) for L in self.labels]
-        self._by_deg: Dict[int, List[int]] = {}
-        for i, L in enumerate(self.labels):
-            self._by_deg.setdefault(L.degree, []).append(i)
 
         self._radical_by_deg: Dict[int, List[Tuple[Fraction, ...]]] = {}
         radical_dim = 0
@@ -324,8 +319,9 @@ class PairingQuotient:
             vecs, _ = _graded_radical(params, q, n_filter)
             self._radical_by_deg[q] = vecs
             radical_dim += len(vecs)
-            n_basis = len(self._by_deg.get(q, []))
-            if n_basis != len(self._by_deg.get(cap - q, [])):
+        dims = self.dims_by_degree()
+        for q in range(cap + 1):
+            if dims[q] != dims[cap - q]:
                 raise VerificationFailure(
                     f"basis counts not symmetric between degrees {q} and {cap - q}")
         self._mixed_vectors = _mixed_radical(params, n_filter)
@@ -338,9 +334,27 @@ class PairingQuotient:
 
         self.dim = len(self.basis)
         self._gram: Optional[QMatrix] = None
-        self._blocks: Dict[int, QMatrix] = {}
-        self._prepare_blocks()
-        self._structure: Dict[Tuple[int, int], Tuple[Fraction, ...]] = {}
+        by_weight: Dict[Tuple[int, ...], List[int]] = {}
+        for i, e in enumerate(self.basis):
+            weights = {mono_weight(self.g, m) for m in e.terms}
+            if len(weights) != 1:
+                raise VerificationFailure(
+                    f"basis element {i} is not weight-homogeneous at "
+                    f"(g,r)=({self.g},{params.r})")
+            by_weight.setdefault(weights.pop(), []).append(i)
+        # invert every weight block; SingularMatrix here means the claimed
+        # basis is not a complement, which no valid input should cause
+        self._weight_blocks: Dict[Tuple[int, ...],
+                                  Tuple[List[int], List[int], QMatrix]] = {}
+        for w, cols in by_weight.items():
+            rows = by_weight.get(tuple(-x for x in w), [])
+            if len(rows) != len(cols):
+                raise VerificationFailure(
+                    f"{len(cols)} basis elements of weight {w} against "
+                    f"{len(rows)} of the opposite weight")
+            block = QMatrix([[self.pairing(self.basis[i], self.basis[l])
+                              for i in cols] for l in rows], ncols=len(cols))
+            self._weight_blocks[w] = (cols, rows, invert(block))
 
     # -- pairing and Gram --------------------------------------------------
 
@@ -349,67 +363,47 @@ class PairingQuotient:
 
     @property
     def gram(self) -> QMatrix:
+        """The dense table pair(e_i, e_j), computed without weights."""
         if self._gram is None:
             self._gram = QMatrix(
                 [[self.pairing(u, v) for v in self.basis] for u in self.basis],
                 ncols=self.dim)
         return self._gram
 
-    def _prepare_blocks(self) -> None:
-        # invert every antidiagonal Gram block; SingularMatrix here means
-        # the claimed basis is not a complement, which no valid input
-        # should be able to cause
-        cap = 2 * self.d
-        for q in range(cap + 1):
-            cols = self._by_deg.get(q, [])
-            rows = self._by_deg.get(cap - q, [])
-            if not cols and not rows:
-                continue
-            block = QMatrix([[self.pairing(self.basis[i], self.basis[l])
-                              for i in cols] for l in rows], ncols=len(cols))
-            self._blocks[q] = invert(block)
-
-    def _solve_coefficients(self, values: List[Fraction]) -> List[Fraction]:
-        """Solve sum_i c_i pair(e_i, e_l) = values[l] for c by blockwise
-        back substitution along the degree filtration."""
-        cap = 2 * self.d
-        coeffs: List[Fraction] = [ZERO] * self.dim
-        for q in range(cap + 1):
-            cols = self._by_deg.get(q, [])
-            if not cols:
-                continue
-            rows = self._by_deg.get(cap - q, [])
-            rhs = []
-            for l in rows:
-                acc = values[l]
-                for qq in range(q):
-                    for i in self._by_deg.get(qq, []):
-                        ci = coeffs[i]
-                        if ci:
-                            gil = self.gram[(i, l)]
-                            if gil:
-                                acc -= ci * gil
-                rhs.append(acc)
-            sol = self._blocks[q].apply(rhs)
-            for i, c in zip(cols, sol):
-                coeffs[i] = c
-        return coeffs
+    def inverse_gram(self) -> QMatrix:
+        """Inverse of the Gram matrix, assembled from the weight blocks."""
+        m = [[ZERO] * self.dim for _ in range(self.dim)]
+        for cols, rows, inv in self._weight_blocks.values():
+            for a, i in enumerate(cols):
+                for b, l in enumerate(rows):
+                    m[l][i] = inv[a, b]
+        return QMatrix(m, self.dim)
 
     # -- normal forms ------------------------------------------------------
 
     def nf_vector(self, z: ExtClass) -> Tuple[Fraction, ...]:
-        """Coefficients of the class of z on the canonical basis."""
+        """Coefficients of the class of z on the canonical basis: the
+        weight-lambda part of z, paired against the weight -lambda basis
+        elements, times that block's inverse (zero if no basis element
+        has weight lambda)."""
         if z.g != self.g:
             raise DomainError(f"genus mismatch: class {z.g}, ring {self.g}")
-        values = [self.pairing(z, e) for e in self.basis]
-        return tuple(self._solve_coefficients(values))
+        parts: Dict[Tuple[int, ...], Dict[ExtMono, Fraction]] = {}
+        for m, c in z.terms.items():
+            parts.setdefault(mono_weight(self.g, m), {})[m] = c
+        coeffs = [ZERO] * self.dim
+        for w, terms in parts.items():
+            if w not in self._weight_blocks:
+                continue
+            cols, rows, inv = self._weight_blocks[w]
+            part = ExtClass(self.g, terms)
+            values = [self.pairing(part, self.basis[l]) for l in rows]
+            for i, c in zip(cols, inv.apply(values)):
+                coeffs[i] = c
+        return tuple(coeffs)
 
     def nf_class(self, z: ExtClass) -> ExtClass:
-        out = ExtClass.zero(self.g)
-        for c, e in zip(self.nf_vector(z), self.basis):
-            if c:
-                out = out + e.scale(c)
-        return out
+        return self.element_from_vector(self.nf_vector(z))
 
     def is_in_radical(self, z: ExtClass) -> bool:
         return all(c == 0 for c in self.nf_vector(z))
@@ -429,13 +423,6 @@ class PairingQuotient:
     def product(self, u: ExtClass, v: ExtClass) -> ExtClass:
         return self.nf_class(wedge(u, v))
 
-    def structure_constant(self, i: int, j: int) -> Tuple[Fraction, ...]:
-        """nf coefficients of e_i e_j, cached."""
-        key = (i, j)
-        if key not in self._structure:
-            self._structure[key] = self.product_vector(self.basis[i], self.basis[j])
-        return self._structure[key]
-
     # -- radical access ----------------------------------------------------
 
     def radical_vectors(self, q: int) -> List[Tuple[Fraction, ...]]:
@@ -445,7 +432,7 @@ class PairingQuotient:
         """Homogeneous radical pieces by degree, then mixed corrections."""
         out = []
         for q in sorted(self._radical_by_deg):
-            cols = self._monos_by_deg.get(q, [])
+            cols = monos_of_degree(self.g, q)
             for vec in self._radical_by_deg[q]:
                 out.append(ExtClass(self.g, {cols[j]: c for j, c in enumerate(vec) if c}))
         out.extend(self._mixed_vectors)
@@ -458,4 +445,5 @@ class PairingQuotient:
         return [L.degree for L in self.labels]
 
     def dims_by_degree(self) -> List[int]:
-        return [len(self._by_deg.get(q, [])) for q in range(2 * self.d + 1)]
+        degs = self.basis_degrees()
+        return [degs.count(q) for q in range(2 * self.d + 1)]

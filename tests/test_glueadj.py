@@ -115,7 +115,7 @@ def test_universal_matrix_genus_two():
 
 
 def test_universal_matrix_inverts_gram():
-    for g, r in [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)]:
+    for g, r in [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 2)]:
         ring = build_oracle(g, r)
         labels, m = universal_matrix(g, r)
         assert list(labels) == list(ring.labels)

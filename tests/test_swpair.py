@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from swfloer.errors import DomainError, VerificationFailure
 from swfloer.extalg import (
     ExtClass,
+    mono_weight,
     monomials_up_to,
     parse_class,
     parse_monomial,
@@ -374,11 +375,33 @@ def test_product_associative_exhaustive_at_g3():
 
 
 def test_structure_constants_match_products():
-    Q = quotient(4, 2)
+    # the product coefficients solve the Gram system of the direct table:
+    # sum_k c_k pair(e_k, e_l) = pair(e_i e_j, e_l) for every l
+    Q = quotient(4, 1)
+    G = Q.gram
     for i in (0, 3, 9):
         for j in (0, 5):
-            vec = Q.structure_constant(i, j)
-            assert vec == Q.product_vector(Q.basis[i], Q.basis[j])
+            vec = Q.product_vector(Q.basis[i], Q.basis[j])
+            prod = wedge(Q.basis[i], Q.basis[j])
+            for l in range(Q.dim):
+                assert sum(c * G[k, l] for k, c in enumerate(vec) if c) \
+                    == Q.pairing(prod, Q.basis[l]), (i, j, l)
+
+
+def test_gram_vanishes_off_weight_blocks():
+    # checked against the dense table, which is computed without weights
+    for g, r in DIMS_BY_DEGREE:
+        Q = quotient(g, r)
+        wts = []
+        for e in Q.basis:
+            weights = {mono_weight(g, m) for m in e.terms}
+            assert len(weights) == 1, (g, r, e)
+            wts.append(weights.pop())
+        G = Q.gram
+        for i in range(Q.dim):
+            for j in range(Q.dim):
+                if G[i, j]:
+                    assert wts[i] == tuple(-w for w in wts[j]), (g, r, i, j)
 
 
 def test_quotient_gram_invertible():
@@ -411,6 +434,16 @@ class TestQuotientProperties:
         direct = Q.nf_class(wedge(u, v))
         reduced = Q.nf_class(wedge(Q.nf_class(u), v))
         assert direct == reduced
+
+    @settings(max_examples=60, deadline=None)
+    @given(classes_g3())
+    def test_nf_solves_direct_gram_system(self, u):
+        Q = quotient(3, 1)
+        G = Q.gram
+        vec = Q.nf_vector(u)
+        for l in range(Q.dim):
+            assert sum(c * G[k, l] for k, c in enumerate(vec)) \
+                == Q.pairing(u, Q.basis[l])
 
     @settings(max_examples=60, deadline=None)
     @given(classes_g3(), classes_g3())

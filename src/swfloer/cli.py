@@ -28,7 +28,6 @@ from .extalg import (
     ExtClass,
     ExtMono,
     embed_bipoly,
-    mono_weight,
     parse_class,
     primitive_basis,
     primitive_dim,
@@ -338,7 +337,7 @@ def check_gram_structure(cases) -> List[str]:
         sym = ring_oracle(g, ring.d)
         G = ring.gram
         degs = ring.basis_degrees()
-        wts = [mono_weight(g, next(iter(e.terms))) for e in ring.basis]
+        wts = {i: w for w, idx in ring.weight_groups.items() for i in idx}
         cap = 2 * ring.d
         for i in range(ring.dim):
             for j in range(ring.dim):

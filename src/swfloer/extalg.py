@@ -377,6 +377,15 @@ def parse_frac(text: str) -> Fraction:
         raise DomainError(f"bad rational {text!r}") from None
 
 
+def parse_int(text: str) -> int:
+    """A matched numeral; one too long for int() (over 4,300 digits by
+    default) is a DomainError, like any other malformed input."""
+    try:
+        return int(text)
+    except ValueError:
+        raise DomainError(f"numeral of {len(text)} digits is too long") from None
+
+
 def render_mono(m: ExtMono) -> str:
     parts = []
     if m.xexp == 1:
@@ -424,11 +433,11 @@ def parse_monomial(g: int, text: str) -> ExtClass:
         if factor == "1":
             saw_unit = True
         elif factor.startswith("x"):
-            xexp += int(factor[2:]) if "^" in factor else 1
+            xexp += parse_int(factor[2:]) if "^" in factor else 1
         elif factor.startswith("t"):
-            tpow += int(factor[2:]) if "^" in factor else 1
+            tpow += parse_int(factor[2:]) if "^" in factor else 1
         else:
-            idx = int(factor[1:])
+            idx = parse_int(factor[1:])
             if not (1 <= idx <= 2 * g):
                 raise DomainError(f"gamma index {idx} out of range 1..{2*g}")
             if gammas and idx <= gammas[-1]:

@@ -29,11 +29,10 @@ from .extalg import (
     render_mono,
 )
 from .floerring import build_oracle, tilde_relation
-from .qlinalg import QMatrix, kernel_basis, reduce_by_rref, rref
+from .qlinalg import QMatrix, block_kernel, reduce_by_rref, rref
 from .swpair import BasisLabel, SphereParams, monos_of_degree, pair
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 # -- relative-invariant tables ---------------------------------------------
@@ -254,21 +253,21 @@ def kernel_K_basis(g: int, r: int) -> Tuple[Tuple[Fraction, ...], ...]:
     """Basis of {phi : gamma_j . phi = 0 for all j}, in oracle coordinates.
 
     Stacks the multiplication-by-gamma_j maps on the canonical basis
-    and returns the kernel of the stack.
+    and returns the kernel of the stack.  Multiplication by gamma_j
+    shifts torus weights, so each row of the stack meets the basis
+    elements of one weight only; the kernel is taken one basis weight
+    at a time.
     """
     ring = build_oracle(g, r)
-    rows: List[List[Fraction]] = []
-    for j in range(1, 2 * g + 1):
-        gcls = ExtClass.monomial(g, ExtMono(0, (j,)))
-        cols = [ring.product_vector(gcls, e) for e in ring.basis]
-        for out_idx in range(ring.dim):
-            row = [cols[i][out_idx] for i in range(ring.dim)]
-            if any(row):
-                rows.append(row)
-    if not rows:
-        return tuple(tuple(ONE if i == k else ZERO for i in range(ring.dim))
-                     for k in range(ring.dim))
-    return tuple(kernel_basis(QMatrix(rows, ring.dim)))
+    gammas = [ExtClass.monomial(g, ExtMono(0, (j,))) for j in range(1, 2 * g + 1)]
+    blocks = []
+    for cols in ring.weight_groups.values():
+        rows = []
+        for gcls in gammas:
+            images = [ring.product_vector(gcls, ring.basis[i]) for i in cols]
+            rows.extend(row for row in zip(*images) if any(row))
+        blocks.append((cols, rows))
+    return tuple(block_kernel(blocks, ring.dim)[0])
 
 
 def kernel_pairing_rank(g: int, r: int) -> int:

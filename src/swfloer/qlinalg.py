@@ -6,10 +6,11 @@ pinned down once and for all:
 
   * ``rref`` returns the reduced row echelon form, which is unique, together
     with the strictly increasing tuple of pivot columns and the rank.
-  * ``kernel_basis`` (through ``kernel_from_rref``) derives its basis
+  * ``kernel_basis`` (a one-block ``block_kernel``) derives its basis
     from the rref by setting one free variable to 1 (free columns taken
     in increasing order) and the others to 0.  Two mathematically equal
-    matrices therefore always produce the identical kernel basis.
+    matrices therefore always produce the identical kernel basis, and a
+    matrix eliminated block by block gives the same basis as assembled.
   * ``reduce_by_rref`` reduces a vector modulo the row space of an rref
     by clearing its pivot coordinates.
   * ``solve`` returns the particular solution with all free variables zero,
@@ -177,33 +178,46 @@ def rref(m: QMatrix) -> Tuple[QMatrix, Tuple[int, ...], int]:
 
 def kernel_basis(m: QMatrix) -> List[Tuple[Fraction, ...]]:
     """Canonical basis of the right kernel {v : m v = 0}; see
-    kernel_from_rref for the convention."""
-    rows, pivots = _rref_rows(m.to_rows(), m.ncols)
-    return kernel_from_rref(rows, pivots, m.ncols)
+    block_kernel for the convention."""
+    return block_kernel([(range(m.ncols), m.to_rows())], m.ncols)[0]
 
 
-def kernel_from_rref(rows: Sequence[Sequence[Fraction]], pivots: Sequence[int],
-                     ncols: int) -> List[Tuple[Fraction, ...]]:
-    """Canonical kernel basis read off a reduced row echelon form.
+def block_kernel(blocks: Iterable[Tuple[Sequence[int], Sequence[Sequence]]],
+                 ncols: int) -> Tuple[List[Tuple[Fraction, ...]], Tuple[int, ...]]:
+    """Canonical kernel basis and pivot columns of a block-structured matrix.
 
-    One basis vector per free column, free columns in increasing order;
-    the chosen free variable is set to 1 and every other free variable
-    to 0, pivot variables solved from the rref rows.
+    Each block is (cols, rows): cols is an increasing list of column
+    indices, the blocks' lists partitioning range(ncols), and each row
+    gives the entries of one matrix row on those columns (zero
+    elsewhere).  Every block is eliminated on its own; since the rref is
+    unique, the rows of the block rrefs sorted by pivot are the rref of
+    the assembled matrix, so the result is exactly what that matrix
+    gives.
 
-    >>> r, p, _ = rref(QMatrix.from_rows([[1, 2, 0], [0, 0, 1]]))
-    >>> kernel_from_rref(r.to_rows(), p, 3)
-    [(Fraction(-2, 1), Fraction(1, 1), Fraction(0, 1))]
+    The kernel basis has one vector per free column, free columns in
+    increasing order; the chosen free variable is set to 1 and every
+    other free variable to 0, pivot variables solved from the rref rows.
+
+    >>> basis, pivots = block_kernel([([0, 2], [[1, 2]]), ([1], [])], 3)
+    >>> pivots, [[int(x) for x in v] for v in basis]
+    ((0,), [[0, 1, 0], [-2, 0, 1]])
     """
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [ZERO] * ncols
-        v[f] = ONE
-        for i, p in enumerate(pivots):
-            v[p] = -rows[i][f]
-        basis.append(tuple(v))
-    return basis
+    vectors = {}
+    pivots: List[int] = []
+    for cols, rows in blocks:
+        reduced, local = _rref_rows([[_frac(v) for v in r] for r in rows],
+                                    len(cols))
+        pivot_set = set(local)
+        for f, col in enumerate(cols):
+            if f in pivot_set:
+                continue
+            v = [ZERO] * ncols
+            v[col] = ONE
+            for i, p in enumerate(local):
+                v[cols[p]] = -reduced[i][f]
+            vectors[col] = tuple(v)
+        pivots.extend(cols[p] for p in local)
+    return [vectors[c] for c in sorted(vectors)], tuple(sorted(pivots))
 
 
 def reduce_by_rref(vec: Sequence, reduced: QMatrix,

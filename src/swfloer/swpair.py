@@ -19,9 +19,11 @@ inserted, (g-k)!/(g-k-b)! (-n)^(g-k-b).
 ``pair`` sums sw_sphere over all levels; on a wedge of two homogeneous
 classes at most one level can contribute, so the sum is finite and exact.
 The radical of this pairing on monomials of degree <= 2d (d = g-1-|r|) is
-computed degreewise by ``annihilator``; the quotient by the radical is the
-Floer ring, built by the PairingQuotient engine at the bottom of this file
-and consumed by the floerring and symprod modules.
+computed once, by ``_radical``, one torus weight at a time: homogeneous
+pieces degree by degree, then the mixed-degree corrections.  ``annihilator``
+and the PairingQuotient engine at the bottom of this file both read it;
+the quotient by the radical is the Floer ring, consumed by the floerring
+and symprod modules.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .extalg import (
     top_eval,
     wedge,
 )
-from .qlinalg import QMatrix, invert, kernel_basis, kernel_from_rref, rref
+from .qlinalg import QMatrix, block_kernel, invert
 
 ZERO = Fraction(0)
 
@@ -148,80 +150,72 @@ def pair(params: SphereParams, z1: ExtClass, z2: ExtClass) -> Fraction:
     return class_pair(params, z1, z2)
 
 
-def gram(params: SphereParams, basis: Sequence[ExtClass]) -> QMatrix:
-    """Matrix of pair on the given classes."""
-    return QMatrix([[pair(params, u, v) for v in basis] for u in basis],
-                   ncols=len(basis))
-
-
 @lru_cache(maxsize=None)
 def monos_of_degree(g: int, q: int) -> Tuple[ExtMono, ...]:
     return tuple(m for m in monomials_up_to(g, q) if m.degree == q)
 
 
 @lru_cache(maxsize=None)
-def _graded_radical(params: SphereParams, degree: int,
-                    n_filter: Optional[int] = None):
-    """Radical piece in one degree: homogeneous z with pair(z, m) = 0 for
-    every monomial m of degree <= 2d.
+def _radical(params: SphereParams, n_filter: Optional[int], col_cap: int):
+    """The radical of the pairing within degrees <= col_cap: the z with
+    pair(z, m) = 0 for every monomial m of degree <= 2d.
 
-    Returns (kernel vectors over the degree's monomials, pivot column
-    indices).  The pivot monomials span a canonical complement of the
-    radical piece inside the degree, which the mixed-element solver and
-    the quotient engine both rely on.
+    Returns (pieces, mixed).  pieces[q] is the homogeneous piece of
+    degree q, the canonical kernel basis over monos_of_degree(g, q); its
+    pivot monomials span a canonical complement of the piece.  mixed
+    holds the radical elements that are not sums of homogeneous ones:
+    levels n and n-1 tie degrees q and q - 2|r| together, and (for
+    example) at g=5, r=1 there is one with components in degrees 4 and 6
+    whose degree-4 part alone is not in the radical.  Modulo the pieces
+    such an element can be taken supported on the pivot monomials, and
+    testing it against the pivot monomials suffices, since a piece pairs
+    to zero with every monomial of degree <= 2d.  They are listed by the
+    residue mod 2|r| of their top degree, then by their free (highest)
+    pivot monomial.
+
+    Every kernel is taken weight block by weight block: mono_pair
+    vanishes unless the two torus weights are opposite, so a column of
+    weight lambda meets only rows of weight -lambda.  Rows with no
+    contributing level are zero, which the elimination ignores.
     """
-    cols = monos_of_degree(params.g, degree)
-    cap = 2 * params.d
-    rows: List[List[Fraction]] = []
-    for qq in range(cap + 1):
-        n = contributing_level(params, degree + qq)
-        if n is None or (n_filter is not None and n != n_filter):
-            continue
-        for m2 in monos_of_degree(params.g, qq):
-            rows.append([mono_pair(params, m1, m2, n_filter) for m1 in cols])
-    reduced, pivots, _ = rref(QMatrix(rows, ncols=len(cols)))
-    return kernel_from_rref(reduced.to_rows(), pivots, len(cols)), pivots
+    params = SphereParams(params.g, abs(params.r))
+    g, cap = params.g, 2 * params.d
 
+    def kernel(cols: Sequence[ExtMono], rows: Sequence[ExtMono]):
+        rows_of: Dict[Tuple[int, ...], List[ExtMono]] = {}
+        for m in rows:
+            rows_of.setdefault(mono_weight(g, m), []).append(m)
+        groups: Dict[Tuple[int, ...], List[int]] = {}
+        for j, m in enumerate(cols):
+            groups.setdefault(tuple(-x for x in mono_weight(g, m)), []).append(j)
+        return block_kernel(
+            [(idx, [[mono_pair(params, cols[j], m2, n_filter) for j in idx]
+                    for m2 in rows_of.get(w, ())])
+             for w, idx in groups.items()], len(cols))
 
-def _mixed_radical(params: SphereParams, n_filter: Optional[int] = None,
-                   col_cap: Optional[int] = None) -> List[ExtClass]:
-    """Radical elements that are not sums of homogeneous radical elements.
-
-    The radical of the pairing need not be graded: levels n and n-1 tie
-    degrees q and q - 2|r| together, and (for example) at g=5, r=1 there
-    is an element of the radical with components in degrees 4 and 2 whose
-    degree-4 part alone is not in the radical.  Modulo the graded pieces,
-    any such element can be taken supported on the canonical pivot
-    monomials of each degree, and testing against pivot monomials suffices
-    since pairing against a graded radical piece is identically zero.
-    One kernel computation per residue class of degree mod 2|r| finds
-    a canonical basis of these corrections.
-    """
-    cap = 2 * params.d
-    col_cap = cap if col_cap is None else col_cap
-    pivot_monos: Dict[int, List[ExtMono]] = {}
+    pieces, pivot_monos = [], []
     for q in range(max(cap, col_cap) + 1):
+        cols = monos_of_degree(g, q)
+        vecs, pivots = kernel(cols, monomials_up_to(g, cap))
+        pieces.append(tuple(vecs))
+        pivot_monos.append([cols[p] for p in pivots])
+    cols = [m for q in range(col_cap + 1) for m in pivot_monos[q]]
+    vecs, _ = kernel(cols, [m for q in range(cap + 1) for m in pivot_monos[q]])
+    mixed = sorted((ExtClass(g, {cols[j]: c for j, c in enumerate(v) if c})
+                    for v in vecs), key=lambda z: z.degrees()[-1] % params.N)
+    return tuple(pieces[:col_cap + 1]), tuple(mixed)
+
+
+def _radical_classes(params: SphereParams, n_filter: Optional[int],
+                     col_cap: int) -> List[ExtClass]:
+    """The radical basis of _radical as classes: pieces, then mixed."""
+    pieces, mixed = _radical(params, n_filter, col_cap)
+    out = []
+    for q, vecs in enumerate(pieces):
         cols = monos_of_degree(params.g, q)
-        _, pivots = _graded_radical(params, q, n_filter)
-        pivot_monos[q] = [cols[p] for p in pivots]
-    out: List[ExtClass] = []
-    N = params.N
-    for rho in range(N):
-        col_degs = [q for q in range(col_cap + 1) if q % N == rho and pivot_monos[q]]
-        if len(col_degs) < 2:
-            continue
-        cols = [m for q in col_degs for m in pivot_monos[q]]
-        row_degs = [qq for qq in range(cap + 1)
-                    if any(contributing_level(params, q + qq) is not None
-                           and (n_filter is None
-                                or contributing_level(params, q + qq) == n_filter)
-                           for q in col_degs)]
-        rows = [[mono_pair(params, m1, m2, n_filter) for m1 in cols]
-                for qq in row_degs for m2 in pivot_monos[qq]]
-        for vec in kernel_basis(QMatrix(rows, ncols=len(cols))):
-            out.append(ExtClass(params.g,
-                                {cols[j]: c for j, c in enumerate(vec) if c}))
-    return out
+        for vec in vecs:
+            out.append(ExtClass(params.g, {cols[j]: c for j, c in enumerate(vec) if c}))
+    return out + list(mixed)
 
 
 def annihilator(params: SphereParams, maxdeg: Optional[int] = None) -> List[ExtClass]:
@@ -232,22 +226,14 @@ def annihilator(params: SphereParams, maxdeg: Optional[int] = None) -> List[ExtC
     homogeneous pieces, degree by degree, each the canonical kernel basis
     of the pairing conditions in that degree; then the mixed-degree
     corrections, which exist because consecutive levels couple degrees
-    q and q - 2|r| (see _mixed_radical).  Its codimension in the degree
-    <= 2d monomial space is the total Betti number of s^d Sigma.
+    q and q - 2|r| (see _radical).  The level depends on |r| only.  Its
+    codimension in the degree <= 2d monomial space is the total Betti
+    number of s^d Sigma.
     """
     cap = 2 * params.d if maxdeg is None else maxdeg
     if cap < 0:
         raise DomainError("maxdeg must be >= 0")
-    out: List[ExtClass] = []
-    for q in range(cap + 1):
-        cols = monos_of_degree(params.g, q)
-        if not cols:
-            continue
-        kernel, _ = _graded_radical(params, q)
-        for vec in kernel:
-            out.append(ExtClass(params.g, {cols[j]: c for j, c in enumerate(vec) if c}))
-    out.extend(_mixed_radical(params, None, cap))
-    return out
+    return _radical_classes(params, None, cap)
 
 
 class BasisLabel(NamedTuple):
@@ -313,19 +299,13 @@ class PairingQuotient:
         self.labels = canonical_labels(self.g, self.d)
         self.basis = [label_element(self.g, L) for L in self.labels]
 
-        self._radical_by_deg: Dict[int, List[Tuple[Fraction, ...]]] = {}
-        radical_dim = 0
-        for q in range(cap + 1):
-            vecs, _ = _graded_radical(params, q, n_filter)
-            self._radical_by_deg[q] = vecs
-            radical_dim += len(vecs)
+        self._pieces, self._mixed_vectors = _radical(params, n_filter, cap)
+        radical_dim = sum(map(len, self._pieces)) + len(self._mixed_vectors)
         dims = self.dims_by_degree()
         for q in range(cap + 1):
             if dims[q] != dims[cap - q]:
                 raise VerificationFailure(
                     f"basis counts not symmetric between degrees {q} and {cap - q}")
-        self._mixed_vectors = _mixed_radical(params, n_filter)
-        radical_dim += len(self._mixed_vectors)
         if len(self.basis) + radical_dim != len(self.monos):
             raise VerificationFailure(
                 f"{len(self.basis)} basis elements + {radical_dim} radical "
@@ -334,20 +314,21 @@ class PairingQuotient:
 
         self.dim = len(self.basis)
         self._gram: Optional[QMatrix] = None
-        by_weight: Dict[Tuple[int, ...], List[int]] = {}
+        # torus weight -> indices of the basis elements of that weight
+        self.weight_groups: Dict[Tuple[int, ...], List[int]] = {}
         for i, e in enumerate(self.basis):
             weights = {mono_weight(self.g, m) for m in e.terms}
             if len(weights) != 1:
                 raise VerificationFailure(
                     f"basis element {i} is not weight-homogeneous at "
                     f"(g,r)=({self.g},{params.r})")
-            by_weight.setdefault(weights.pop(), []).append(i)
+            self.weight_groups.setdefault(weights.pop(), []).append(i)
         # invert every weight block; SingularMatrix here means the claimed
         # basis is not a complement, which no valid input should cause
         self._weight_blocks: Dict[Tuple[int, ...],
                                   Tuple[List[int], List[int], QMatrix]] = {}
-        for w, cols in by_weight.items():
-            rows = by_weight.get(tuple(-x for x in w), [])
+        for w, cols in self.weight_groups.items():
+            rows = self.weight_groups.get(tuple(-x for x in w), [])
             if len(rows) != len(cols):
                 raise VerificationFailure(
                     f"{len(cols)} basis elements of weight {w} against "
@@ -426,17 +407,11 @@ class PairingQuotient:
     # -- radical access ----------------------------------------------------
 
     def radical_vectors(self, q: int) -> List[Tuple[Fraction, ...]]:
-        return list(self._radical_by_deg.get(q, []))
+        return list(self._pieces[q]) if 0 <= q < len(self._pieces) else []
 
     def radical_elements(self) -> List[ExtClass]:
         """Homogeneous radical pieces by degree, then mixed corrections."""
-        out = []
-        for q in sorted(self._radical_by_deg):
-            cols = monos_of_degree(self.g, q)
-            for vec in self._radical_by_deg[q]:
-                out.append(ExtClass(self.g, {cols[j]: c for j, c in enumerate(vec) if c}))
-        out.extend(self._mixed_vectors)
-        return out
+        return _radical_classes(self.params, self.n_filter, 2 * self.d)
 
     def mixed_radical_elements(self) -> List[ExtClass]:
         return list(self._mixed_vectors)

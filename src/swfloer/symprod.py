@@ -31,7 +31,7 @@ from math import comb
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import DomainError, VerificationFailure
-from .extalg import parse_frac, primitive_dim, render_frac
+from .extalg import parse_frac, parse_int, primitive_dim, render_frac
 from .qlinalg import QMatrix, reduce_by_rref, rref
 from .swpair import PairingQuotient, SphereParams
 
@@ -193,7 +193,7 @@ def parse_bipoly(text: str) -> BiPoly:
             saw_factor = True
             if factor == "1":
                 continue
-            exp = int(m.group(2)) if m.group(2) else 1
+            exp = parse_int(m.group(2)) if m.group(2) else 1
             if m.group(1) == "e":
                 a += exp
             else:

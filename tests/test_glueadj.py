@@ -24,7 +24,7 @@ from swfloer.glueadj import (
     universal_matrix,
     vanishing_witness,
 )
-from swfloer.qlinalg import QMatrix, rref
+from swfloer.qlinalg import QMatrix, kernel_basis, rref
 from swfloer.swpair import monos_of_degree
 
 F = Fraction
@@ -250,6 +250,19 @@ def test_kernel_vectors_are_annihilated():
             for j in range(1, 2 * g + 1):
                 gcls = ExtClass.monomial(g, ExtMono(0, (j,)))
                 assert ring.product(gcls, phi).is_zero(), (g, r, j)
+
+
+def test_kernel_K_basis_matches_dense_stack():
+    # reference without weight blocks: all 2g multiplication maps stacked
+    # over every basis column
+    g, r = 4, 1
+    ring = build_oracle(g, r)
+    rows = []
+    for j in range(1, 2 * g + 1):
+        gcls = ExtClass.monomial(g, ExtMono(0, (j,)))
+        images = [ring.product_vector(gcls, e) for e in ring.basis]
+        rows.extend(list(row) for row in zip(*images))
+    assert kernel_K_basis(g, r) == tuple(kernel_basis(QMatrix(rows, ring.dim)))
 
 
 def test_kernel_pairing_rank_parity():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swfloer.errors import DomainError, SingularMatrix
-from swfloer.qlinalg import QMatrix, invert, kernel_basis, rref, solve
+from swfloer.qlinalg import QMatrix, block_kernel, invert, kernel_basis, rref, solve
 
 F = Fraction
 
@@ -114,7 +114,35 @@ def matrices(draw, max_dim=5):
     return QMatrix.from_rows(rows)
 
 
+@st.composite
+def block_matrices(draw, max_dim=6):
+    """A matrix as (blocks, ncols, assembled rows): each row lies in one
+    random column block."""
+    ncols = draw(st.integers(min_value=1, max_value=max_dim))
+    labels = draw(st.lists(st.integers(min_value=0, max_value=2),
+                           min_size=ncols, max_size=ncols))
+    blocks, dense = [], []
+    for b in sorted(set(labels)):
+        cols = [c for c in range(ncols) if labels[c] == b]
+        rows = draw(st.lists(st.lists(small_entries, min_size=len(cols),
+                                      max_size=len(cols)), max_size=4))
+        blocks.append((cols, rows))
+        for row in rows:
+            full = [0] * ncols
+            for c, v in zip(cols, row):
+                full[c] = v
+            dense.append(full)
+    return blocks, ncols, draw(st.permutations(dense))
+
+
 class TestProperties:
+    @given(block_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_block_kernel_matches_assembled(self, bm):
+        blocks, ncols, dense = bm
+        m = QMatrix(dense, ncols)
+        assert block_kernel(blocks, ncols) == (kernel_basis(m), rref(m)[1])
+
     @given(matrices())
     @settings(max_examples=60, deadline=None)
     def test_rref_idempotent(self, m):

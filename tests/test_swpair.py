@@ -18,15 +18,12 @@ from swfloer.extalg import (
     theta_power,
     wedge,
 )
-from swfloer.qlinalg import QMatrix, invert
+from swfloer.qlinalg import QMatrix, invert, kernel_basis
 from swfloer.swpair import (
     PairingQuotient,
     SphereParams,
     annihilator,
-    canonical_labels,
     contributing_level,
-    gram,
-    label_element,
     mono_pair,
     monos_of_degree,
     pair,
@@ -196,17 +193,15 @@ def test_pair_top_degree_is_level_minus_one():
 # -- gram ------------------------------------------------------------------
 
 def test_gram_on_unit_basis():
-    m = gram(SphereParams(2, 1), [cls(2, "1")])
+    m = PairingQuotient(SphereParams(2, 1)).gram
     assert m == QMatrix([[F(1)]])
 
 
 def test_gram_canonical_basis_antitriangular_and_invertible():
-    g, r = 3, 1
-    labels = canonical_labels(g, 1)
-    basis = [label_element(g, L) for L in labels]
-    m = gram(SphereParams(g, r), basis)
-    for i, Li in enumerate(labels):
-        for j, Lj in enumerate(labels):
+    Q = quotient(3, 1)
+    m = Q.gram
+    for i, Li in enumerate(Q.labels):
+        for j, Lj in enumerate(Q.labels):
             if Li.degree + Lj.degree > 2:
                 assert m[(i, j)] == 0
     invert(m)  # raises SingularMatrix if the form were degenerate
@@ -227,6 +222,16 @@ def test_annihilator_codim_matches_betti():
         ann = annihilator(p)
         n_monos = len(monomials_up_to(g, 2 * p.d))
         assert n_monos - len(ann) == BETTI_TOTALS[(g, r)], (g, r)
+
+
+def test_annihilator_folds_negative_level():
+    # the pairing depends on |r| only, as in PairingQuotient and build_oracle
+    for (g, r) in ((3, 1), (4, 1), (4, 2)):
+        p = SphereParams(g, -r)
+        ann = annihilator(p)
+        n_monos = len(monomials_up_to(g, 2 * p.d))
+        assert n_monos - len(ann) == BETTI_TOTALS[(g, r)], (g, -r)
+        assert ann == annihilator(SphereParams(g, r)), (g, -r)
 
 
 def test_annihilator_elements_annihilate():
@@ -285,6 +290,19 @@ def test_radical_mixes_degrees_at_genus_five():
     monos = [ExtClass.monomial(5, m) for m in monomials_up_to(5, 2 * p.d)]
     assert all(pair(p, corr, m) == 0 for m in monos)
     assert Q.nf_class(corr).is_zero()
+
+
+@pytest.mark.parametrize("g, r", [(4, 1), (5, 2)])
+def test_radical_vectors_match_dense_kernel(g, r):
+    # reference without weight blocks: every monomial of degree <= 2d
+    # is a row of the degree-q pairing matrix
+    Q = quotient(g, r)
+    rows = monomials_up_to(g, 2 * Q.d)
+    for q in range(2 * Q.d + 1):
+        cols = monos_of_degree(g, q)
+        m = QMatrix([[mono_pair(Q.params, c, m2) for c in cols] for m2 in rows],
+                    ncols=len(cols))
+        assert Q.radical_vectors(q) == kernel_basis(m), (g, r, q)
 
 
 def test_no_mixed_corrections_below_genus_five():

@@ -7,7 +7,8 @@ the check registry at the bottom is the single source for both.
 
 Exit codes: 0 on success (all PASS for verify), 1 when a verification
 fails or an internal cross-check aborts, 2 on usage errors including
-out-of-range parameters.
+out-of-range parameters.  A genus above GENUS_CEILING is out of range
+for every command but adjunct, whose work does not grow with the genus.
 """
 
 import argparse
@@ -55,7 +56,7 @@ from .glueadj import (
     universal_matrix,
 )
 from .qlinalg import QMatrix
-from .swpair import SphereParams, monos_of_degree, pair
+from .swpair import SphereParams, class_pair, monos_of_degree
 from .symprod import (
     BiPoly,
     betti,
@@ -68,6 +69,11 @@ from .symprod import (
 )
 
 SWEEP = [(g, r) for g in range(2, 6) for r in range(1, g)]
+
+# The ring at (6, 1) takes seconds to build and the cost grows steeply
+# with the genus, so without a ceiling a short command line could ask for
+# unbounded work.  Library callers are not limited.
+GENUS_CEILING = 6
 
 
 # -- small print helpers ---------------------------------------------------
@@ -230,6 +236,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        if args.command != "adjunct" and (args.g or 0) > GENUS_CEILING:
+            raise DomainError(f"genus {args.g} is above the command-line "
+                              f"ceiling {GENUS_CEILING}")
         return args.handler(args, sys.stdout)
     except (DomainError, GenusMismatch) as e:
         sys.stderr.write(f"{type(e).__name__}: {e}\n")
@@ -409,7 +418,7 @@ def check_middle_coefficient(cases) -> List[str]:
                 continue
             if (g, r) == (4, 1):
                 rel = embed_bipoly(4, tilde_relation(4, 1, 1))
-                if c != -3 or pair(SphereParams(4, 1), rel, rel) != \
+                if c != -3 or class_pair(SphereParams(4, 1), rel, rel) != \
                         Fraction(-1, 3):
                     fails.append("(4,1): expected c = -3 and self-pairing "
                                  "-1/3")

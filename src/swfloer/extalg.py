@@ -417,8 +417,9 @@ def render_class(u: ExtClass) -> str:
     return " ".join(chunks)
 
 
-def parse_monomial(g: int, text: str) -> ExtClass:
-    """One monomial in the grammar above, as a class (t expands to a sum)."""
+def parse_factors(g: int, text: str) -> Tuple[ExtMono, int]:
+    """One monomial in the grammar above, split into its x and gamma part
+    and its power of t, without expanding t."""
     text = text.strip()
     if not text:
         raise DomainError("empty monomial")
@@ -446,7 +447,13 @@ def parse_monomial(g: int, text: str) -> ExtClass:
             gammas.append(idx)
     if saw_unit and (xexp or tpow or gammas) and len(text.split("*")) > 1:
         raise DomainError(f"'1' cannot be combined with other factors: {text!r}")
-    out = ExtClass.monomial(g, ExtMono(xexp, tuple(gammas)))
+    return ExtMono(xexp, tuple(gammas)), tpow
+
+
+def parse_monomial(g: int, text: str) -> ExtClass:
+    """One monomial in the grammar above, as a class (t expands to a sum)."""
+    m, tpow = parse_factors(g, text)
+    out = ExtClass.monomial(g, m)
     if tpow:
         out = wedge(out, theta_power(g, tpow))
     return out

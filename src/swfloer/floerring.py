@@ -4,7 +4,8 @@ For a genus-g surface and a nonzero twisting level r with |r| <= g-1,
 the ring V_r is the degree <= 2d monomial algebra (d = g-1-|r|) modulo
 the radical of the sphere-invariant pairing.  This module provides:
 
-  - build_oracle: the pairing-kernel construction (a FloerRing);
+  - build_oracle: the pairing-kernel construction (a PairingQuotient
+    over the full level sum);
   - tilde_relation: the closed-form relation polynomials, whose
     primitive-prefactor multiples generate the vanishing ideal;
   - presentation_quotient: the sector rings cut out by those relations
@@ -29,9 +30,14 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Dict, List, Tuple
 
-from .errors import DomainError, InconsistentRecursion, VerificationFailure
+from .errors import (
+    DomainError,
+    InconsistentRecursion,
+    SingularMatrix,
+    VerificationFailure,
+)
 from .extalg import ExtClass, primitive_dim
-from .qlinalg import QMatrix, rref, solve
+from .qlinalg import QMatrix, invert
 from .swpair import PairingQuotient, SphereParams
 from .symprod import (
     BiPoly,
@@ -108,10 +114,8 @@ def _x_power(n: int) -> Poly:
 # -- the recursion ---------------------------------------------------------
 
 def _check_gr(g: int, r: int) -> Tuple[int, int]:
-    if g < 2:
-        raise DomainError(f"genus must be >= 2, got {g}")
-    if r == 0 or abs(r) > g - 1:
-        raise DomainError(f"need 1 <= |r| <= g-1, got r={r} at genus {g}")
+    """(g, |r|), once SphereParams has accepted the pair."""
+    SphereParams(g, r)
     return g, abs(r)
 
 
@@ -132,8 +136,8 @@ def _run_recursion(g: int, r: int):
     2 alpha + 2mr - d <= i <= alpha + mr, matching the Taylor expansion
     of -(p_0(x+m) + ... + p_{m-1}(x+1)) at x = 1 to order d - alpha - mr.
     The window and the order shrink together, so each step is a square
-    linear system; a singular or inconsistent system would falsify the
-    uniqueness this construction relies on and aborts loudly.
+    linear system; a singular one would falsify the uniqueness this
+    construction relies on and aborts loudly.
 
     Returns (polynomials by step, coefficients a_im by (i, m), and the
     assembled order-zero relation as a BiPoly).
@@ -160,14 +164,11 @@ def _run_recursion(g: int, r: int):
             rhs_poly = poly_add(rhs_poly, poly_shift(polys[mm], m - mm))
         shifted = poly_shift(rhs_poly, 1)
         rhs = [-(shifted[j] if j < len(shifted) else ZERO) for j in range(orders)]
-        _, _, rank = rref(A)
-        if rank < hi - lo + 1:
+        try:
+            sol = invert(A).apply(rhs)
+        except SingularMatrix:
             raise InconsistentRecursion(
-                f"step {m} at (g,r)=({g},{r}): solution not unique")
-        sol = solve(A, rhs)
-        if sol is None:
-            raise InconsistentRecursion(
-                f"step {m} at (g,r)=({g},{r}): no solution")
+                f"step {m} at (g,r)=({g},{r}): solution not unique") from None
         pm: Poly = ()
         for offset, i in enumerate(range(lo, hi + 1)):
             c = sol[offset]
@@ -299,27 +300,14 @@ def presentation_dimension(g: int, r: int) -> int:
 
 # -- the oracle ring -------------------------------------------------------
 
-class FloerRing(PairingQuotient):
-    """The pairing-kernel model of V_r; see PairingQuotient for the
-    engine.  The full level sum is used (no level filter)."""
-
-    def __init__(self, params: SphereParams):
-        super().__init__(params, n_filter=None)
-
-    @property
-    def r(self) -> int:
-        return self.params.r
-
-
 @lru_cache(maxsize=None)
-def build_oracle(g: int, r: int) -> FloerRing:
-    """V_r as a quotient by the pairing radical; negative r is folded
-    onto |r| by the conjugation symmetry of the invariants."""
-    _check_gr(g, r)
-    return FloerRing(SphereParams(g, abs(r)))
+def build_oracle(g: int, r: int) -> PairingQuotient:
+    """V_r as a quotient by the radical of the full level sum; negative r
+    is folded onto |r| by the conjugation symmetry of the invariants."""
+    return PairingQuotient(SphereParams(g, r))
 
 
-def deformation_components(ring: FloerRing, f1: ExtClass,
+def deformation_components(ring: PairingQuotient, f1: ExtClass,
                            f2: ExtClass) -> List[ExtClass]:
     """Split a product into its ladder components.
 

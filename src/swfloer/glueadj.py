@@ -25,12 +25,12 @@ from .extalg import (
     ExtClass,
     ExtMono,
     embed_bipoly,
-    parse_monomial,
+    parse_factors,
     render_mono,
 )
 from .floerring import build_oracle, tilde_relation
 from .qlinalg import QMatrix, block_kernel, reduce_by_rref, rref
-from .swpair import BasisLabel, SphereParams, monos_of_degree, pair
+from .swpair import BasisLabel, SphereParams, class_pair, monos_of_degree
 
 ZERO = Fraction(0)
 
@@ -93,7 +93,8 @@ def parse_sw_table(text: str) -> SWTable:
     ``<monomial> <rational>`` in the monomial grammar of extalg, with
     the rational as the last whitespace-separated token.  Blank lines
     and ``#`` comments are skipped.  Each key must be a plain monomial
-    (no ``t`` factors, which expand to sums) and may appear only once.
+    (no ``t`` factors, which expand to sums; they are rejected before
+    any expansion) and may appear only once.
     """
     header: Optional[Tuple[int, int]] = None
     entries: Dict[ExtMono, Fraction] = {}
@@ -117,15 +118,11 @@ def parse_sw_table(text: str) -> SWTable:
             raise DomainError(
                 f"line {lineno}: expected '<monomial> <rational>', got {line!r}")
         mono_text, value_text = parts
-        cls = parse_monomial(header[0], mono_text)
-        if len(cls.terms) != 1:
+        m, tpow = parse_factors(header[0], mono_text)
+        if tpow:
             raise DomainError(
-                f"line {lineno}: {mono_text!r} is not a single monomial")
-        ((m, coeff),) = cls.terms.items()
-        if coeff != 1:
-            raise DomainError(
-                f"line {lineno}: {mono_text!r} carries a coefficient; "
-                f"put it in the value column")
+                f"line {lineno}: {mono_text!r} has a t factor, which "
+                f"expands to a sum of monomials")
         if m in entries:
             raise DomainError(
                 f"line {lineno}: duplicate monomial {render_mono(m)}")
@@ -202,7 +199,7 @@ def cap_table(g: int, r: int, k: int) -> SWTable:
     values: Dict[ExtMono, Fraction] = {}
     for q in range(2 * ring.d + 1):
         for m in monos_of_degree(g, q):
-            v = pair(ring.params, ExtClass.monomial(g, m), target)
+            v = class_pair(ring.params, ExtClass.monomial(g, m), target)
             if v:
                 values[m] = v
     return SWTable(g, r, values)
@@ -238,7 +235,7 @@ def c_coefficient(g: int, r: int) -> Fraction:
     a = d // 2
     c = Fraction((-1) ** a * comb(g - 1, a))
     rel = embed_bipoly(g, tilde_relation(g, abs(r), 1))
-    self_pair = pair(params, rel, rel)
+    self_pair = class_pair(params, rel, rel)
     if self_pair != 1 / c:
         raise VerificationFailure(
             f"(g, r) = ({g}, {r}): formula gives c = {c} but the "

@@ -13,8 +13,6 @@ pinned down once and for all:
     matrix eliminated block by block gives the same basis as assembled.
   * ``reduce_by_rref`` reduces a vector modulo the row space of an rref
     by clearing its pivot coordinates.
-  * ``solve`` returns the particular solution with all free variables zero,
-    or None when the system is inconsistent.
 
 No floats are ever produced; integer inputs are coerced to Fraction.
 
@@ -255,24 +253,3 @@ def invert(m: QMatrix) -> QMatrix:
     if len([p for p in pivots if p < n]) < n:
         raise SingularMatrix(f"matrix of size {n} has rank {len([p for p in pivots if p < n])}")
     return QMatrix([r[n:] for r in rows], n)
-
-
-def solve(m: QMatrix, b: Sequence) -> Optional[Tuple[Fraction, ...]]:
-    """Particular solution of m x = b with free variables zero, or None.
-
-    >>> solve(QMatrix.from_rows([[1, 2], [2, 4]]), [1, 2])
-    (Fraction(1, 1), Fraction(0, 1))
-    >>> solve(QMatrix.from_rows([[1, 2], [2, 4]]), [1, 3]) is None
-    True
-    """
-    bv = [_frac(x) for x in b]
-    if len(bv) != m.nrows:
-        raise DomainError("right-hand side length mismatch")
-    aug = [list(m.row(i)) + [bv[i]] for i in range(m.nrows)]
-    rows, pivots = _rref_rows(aug, m.ncols + 1)
-    if m.ncols in pivots:
-        return None
-    x = [ZERO] * m.ncols
-    for i, p in enumerate(pivots):
-        x[p] = rows[i][m.ncols]
-    return tuple(x)

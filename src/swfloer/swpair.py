@@ -16,8 +16,9 @@ fall out of this rule and are pinned as tests: sw(x^a theta^b) =
 g!/(g-b)! (-n)^(g-b), and the version with a product of primitive pairs
 inserted, (g-k)!/(g-k-b)! (-n)^(g-k-b).
 
-``pair`` sums sw_sphere over all levels; on a wedge of two homogeneous
-classes at most one level can contribute, so the sum is finite and exact.
+``class_pair`` sums sw_sphere over all levels; on a wedge of two
+homogeneous classes at most one level can contribute, so the sum is
+finite and exact.
 The radical of this pairing on monomials of degree <= 2d (d = g-1-|r|) is
 computed once, by ``_radical``, one torus weight at a time: homogeneous
 pieces degree by degree, then the mixed-degree corrections.  ``annihilator``
@@ -118,7 +119,7 @@ def sw_sphere(params: SphereParams, n: int, z: ExtClass) -> Fraction:
 
 def mono_pair(params: SphereParams, m1: ExtMono, m2: ExtMono,
               n_filter: Optional[int] = None) -> Fraction:
-    """pair on two monomials; optionally restricted to a single level."""
+    """class_pair on two monomials."""
     n = contributing_level(params, m1.degree + m2.degree)
     if n is None or (n_filter is not None and n != n_filter):
         return ZERO
@@ -130,6 +131,14 @@ def mono_pair(params: SphereParams, m1: ExtMono, m2: ExtMono,
 
 def class_pair(params: SphereParams, z1: ExtClass, z2: ExtClass,
                n_filter: Optional[int] = None) -> Fraction:
+    """Sum over all levels (or over level n_filter alone) of
+    sw_sphere(n, z1 ^ z2).
+
+    Only levels with 0 <= r n + g - 1 <= deg(z1 z2)/2 can contribute, and
+    for homogeneous inputs at most one does.
+    """
+    if z1.g != params.g or z2.g != params.g:
+        raise DomainError("genus mismatch against params")
     total = ZERO
     for m1, c1 in z1.terms.items():
         for m2, c2 in z2.terms.items():
@@ -137,17 +146,6 @@ def class_pair(params: SphereParams, z1: ExtClass, z2: ExtClass,
             if v:
                 total += c1 * c2 * v
     return total
-
-
-def pair(params: SphereParams, z1: ExtClass, z2: ExtClass) -> Fraction:
-    """Sum over all levels of sw_sphere(n, z1 ^ z2).
-
-    Only levels with 0 <= r n + g - 1 <= deg(z1 z2)/2 can contribute, and
-    for homogeneous inputs at most one does.
-    """
-    if z1.g != params.g or z2.g != params.g:
-        raise DomainError("genus mismatch against params")
-    return class_pair(params, z1, z2)
 
 
 @lru_cache(maxsize=None)

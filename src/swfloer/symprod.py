@@ -10,8 +10,8 @@ from the Jacobian.  This module computes:
   - the relation polynomials R_k in Q[eta, theta] whose multiples cut the
     ring out of the free module over the primitive exterior algebra;
   - sector quotients (SectorQuotient): Q[eta, theta] modulo relation
-    polynomials on a certified monomial basis, used here and by the Floer
-    ring presentation in floerring;
+    polynomials on a certified monomial basis, built here by
+    sector_quotient and by the Floer ring presentation in floerring;
   - sector normal forms: the canonical representative of a polynomial
     modulo (R_k, theta R_{k+1}, theta^(g-k+1)) on the monomial basis
     {eta^a theta^b : 2a + b <= d - k};
@@ -337,62 +337,37 @@ class SectorQuotient:
         return BiPoly({ab: c for ab, c in zip(self._cols, vec) if c})
 
 
-class SymProdPresentation:
-    """The presentation of H*(s^d Sigma) over the primitive sectors.
-
-    Sector k carries the quotient of Q[eta, theta] by
-    (R_k, theta R_{k+1}, theta^(g-k+1)) on the basis
-    {eta^a theta^b : 2a + b <= d - k}; the full ring is the sum over k
-    of these sectors tensored with the degree-k primitive subspace.
-    Construction verifies the weighted sector sizes add up to the total
-    Betti number.
-    """
-
-    def __init__(self, g: int, d: int):
-        if g < 2:
-            raise DomainError(f"genus must be >= 2, got {g}")
-        if d < 0 or d > g - 1:
-            raise DomainError(f"d must satisfy 0 <= d <= g-1, got d={d}")
-        self.g = g
-        self.d = d
-        self._quotients: Dict[int, SectorQuotient] = {}
-        total = sum(primitive_dim(g, k) * len(sector_monomials(d - k))
-                    for k in range(d + 1))
-        if total != betti_total(g, d):
-            raise VerificationFailure(
-                f"sector dimension sum {total} != Betti total "
-                f"{betti_total(g, d)} at (g,d)=({g},{d})")
-
-    def sector_basis(self, k: int) -> List[Tuple[int, int]]:
-        self._check_k(k)
-        return sector_monomials(self.d - k)
-
-    def generators(self, k: int) -> Tuple[BiPoly, BiPoly]:
-        self._check_k(k)
-        return (relation_R(self.g, self.d, k),
-                BiPoly.theta(1) * relation_R(self.g, self.d, k + 1))
-
-    def normal_form(self, k: int, p: BiPoly) -> BiPoly:
-        self._check_k(k)
-        if k not in self._quotients:
-            gens = [*self.generators(k), BiPoly.theta(self.g - k + 1)]
-            self._quotients[k] = SectorQuotient(
-                gens, sector_monomials(self.d - k), self.d - k + 1)
-        return self._quotients[k].normal_form(p)
-
-    def _check_k(self, k: int) -> None:
-        if k < 0 or k > self.d:
-            raise DomainError(f"k must satisfy 0 <= k <= d, got k={k}")
-
-
 @lru_cache(maxsize=None)
-def presentation(g: int, d: int) -> SymProdPresentation:
-    return SymProdPresentation(g, d)
+def sector_quotient(g: int, d: int, k: int) -> SectorQuotient:
+    """Sector k of the presentation of H*(s^d Sigma) over the primitive
+    sectors.
+
+    The quotient of Q[eta, theta] by (R_k, theta R_{k+1}, theta^(g-k+1))
+    on the basis {eta^a theta^b : 2a + b <= d - k}; the full ring is the
+    sum over k of these sectors tensored with the degree-k primitive
+    subspace.  Construction first verifies that the weighted sector sizes
+    add up to the total Betti number.
+    """
+    if g < 2:
+        raise DomainError(f"genus must be >= 2, got {g}")
+    if d < 0 or d > g - 1:
+        raise DomainError(f"d must satisfy 0 <= d <= g-1, got d={d}")
+    total = sum(primitive_dim(g, j) * len(sector_monomials(d - j))
+                for j in range(d + 1))
+    if total != betti_total(g, d):
+        raise VerificationFailure(
+            f"sector dimension sum {total} != Betti total "
+            f"{betti_total(g, d)} at (g,d)=({g},{d})")
+    if k < 0 or k > d:
+        raise DomainError(f"k must satisfy 0 <= k <= d, got k={k}")
+    gens = [relation_R(g, d, k), BiPoly.theta(1) * relation_R(g, d, k + 1),
+            BiPoly.theta(g - k + 1)]
+    return SectorQuotient(gens, sector_monomials(d - k), d - k + 1)
 
 
 def sector_normal_form(g: int, d: int, k: int, p: BiPoly) -> BiPoly:
     """Canonical representative of p modulo the sector-k ideal."""
-    return presentation(g, d).normal_form(k, p)
+    return sector_quotient(g, d, k).normal_form(p)
 
 
 # -- independent ring oracle -----------------------------------------------

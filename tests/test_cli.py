@@ -1,6 +1,7 @@
 """Tests for the command-line frontend: output bytes and exit codes."""
 
 import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -12,6 +13,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@contextmanager
+def deadline(seconds, what):
+    """Fail the test if the block runs longer than seconds.  (main turns a
+    TimeoutError, being an OSError, into exit code 2.)"""
+    def timeout(signum, frame):
+        pytest.fail(f"{what} took over {seconds} s")
+    old = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 # -- happy paths -----------------------------------------------------------
@@ -208,19 +224,51 @@ def test_bad_expression(capsys):
 def test_sp_nf_high_power_is_bounded(capsys):
     # terms above the sector's weight cap are dropped, not reduced, so a
     # high power costs no more than a low one
-    def timeout(signum, frame):
-        raise TimeoutError("sector normal form of e^200 took over 10 s")
-    old = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(10)
-    try:
+    with deadline(10, "sector normal form of e^200"):
         assert sector_normal_form(4, 2, 0, BiPoly.eta(200)).is_zero()
         code, out, _ = run(capsys, "sp-nf", "--g", "4", "--d", "2",
                            "--k", "0", "--expr", "e^200")
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
     assert code == 0
     assert out == "0\n"
+
+
+def test_genus_above_ceiling_is_bounded(capsys):
+    # every command but adjunct rejects a genus above 6 before any work
+    with deadline(10, "commands at a genus above the ceiling"):
+        for argv in [("betti", "--g", "100000000", "--d", "99999999"),
+                     ("sp-relation", "--g", "100000000", "--d", "99999999",
+                      "--k", "0"),
+                     ("sp-nf", "--g", "7", "--d", "6", "--k", "0",
+                      "--expr", "e"),
+                     ("floer-relations", "--g", "100000", "--r", "1"),
+                     ("floer-dim", "--g", "40", "--r", "1"),
+                     ("umatrix", "--g", "7", "--r", "1"),
+                     ("verify", "--g", "7", "--r", "1")]:
+            code, out, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert out == "", argv
+            assert err.startswith("DomainError:"), argv
+            assert err.count("\n") == 1, argv
+        assert run(capsys, "floer-dim", "--g", "6", "--r", "5")[1] == \
+            "oracle=1 presentation=1\n"
+        assert run(capsys, "adjunct", "--g", "100000000", "--sigma2", "0",
+                   "--c1dot", "2")[1] == "ALLOWED\n"
+
+
+def test_glue_table_with_theta_key_is_bounded(tmp_path, capsys):
+    # a t factor in a key is rejected before theta is expanded; at genus
+    # 20000 the expansion alone outlasts the deadline
+    t1 = tmp_path / "t1.swt"
+    t1.write_text("genus 2 r 1\n1 1\n", encoding="utf-8")
+    t2 = tmp_path / "t2.swt"
+    t2.write_text("genus 20000 r 1\nt^2 1\n", encoding="utf-8")
+    with deadline(10, "a table keyed by t^2 at genus 20000"):
+        code, out, err = run(capsys, "glue", "--g", "2", "--r", "1",
+                             "--t1", str(t1), "--t2", str(t2))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("DomainError:")
+    assert err.count("\n") == 1
 
 
 def test_adjunct_torsion_rejected(capsys):

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and the
+quotient route's modules import nothing from the presentation route.
 
 The package __init__ only re-exports, and ``from __future__`` imports
 are directives, so both are exempt.  A name counts as used when it
@@ -39,3 +40,44 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# The pairing-radical route (and the algebra under it) must not know the
+# relation polynomials, so that the two constructions of the ring stay
+# independent checks of each other.
+LOWER = ("qlinalg", "extalg", "swpair")
+UPPER = {"symprod", "floerring", "glueadj", "cli"}
+
+
+def package_imports(source: str):
+    """Names of the package modules a module imports, relative or absolute."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                if not (module + ".").startswith("swfloer."):
+                    continue
+                module = module[len("swfloer."):]
+            if module:
+                out.add(module.split(".")[0])
+            else:
+                out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[1] for alias in node.names
+                       if alias.name.startswith("swfloer."))
+    return out
+
+
+def test_scan_finds_package_imports():
+    source = ("from .symprod import BiPoly\nfrom . import cli\n"
+              "import swfloer.glueadj\nfrom swfloer.floerring import x\n"
+              "from swfloer import extalg\nimport os\nfrom typing import List\n")
+    assert package_imports(source) == {"symprod", "cli", "glueadj", "floerring",
+                                       "extalg"}
+
+
+@pytest.mark.parametrize("name", LOWER)
+def test_quotient_route_imports_no_presentation_module(name):
+    source = (PACKAGE / f"{name}.py").read_text(encoding="utf-8")
+    assert package_imports(source) & UPPER == set()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swfloer.errors import DomainError, SingularMatrix
-from swfloer.qlinalg import QMatrix, block_kernel, invert, kernel_basis, rref, solve
+from swfloer.qlinalg import QMatrix, block_kernel, invert, kernel_basis, rref
 
 F = Fraction
 
@@ -91,12 +91,6 @@ def test_invert_seeded_6x6_against_cofactor_oracle():
         assert inv[(0, i)] * d == sign * cof
 
 
-def test_solve_consistent_and_inconsistent():
-    m = QMatrix.from_rows([[1, 2], [2, 4]])
-    assert solve(m, [1, 2]) == (F(1), F(0))
-    assert solve(m, [1, 3]) is None
-
-
 def test_floats_rejected():
     with pytest.raises(DomainError):
         QMatrix.from_rows([[0.5]])
@@ -161,10 +155,3 @@ class TestProperties:
     def test_rank_nullity(self, m):
         _, _, rank = rref(m)
         assert rank + len(kernel_basis(m)) == m.ncols
-
-    @given(matrices(max_dim=4))
-    @settings(max_examples=40, deadline=None)
-    def test_solve_solves(self, m):
-        x = solve(m, [1] * m.nrows)
-        if x is not None:
-            assert m.apply(x) == tuple([F(1)] * m.nrows)

@@ -23,10 +23,10 @@ from swfloer.swpair import (
     PairingQuotient,
     SphereParams,
     annihilator,
+    class_pair,
     contributing_level,
     mono_pair,
     monos_of_degree,
-    pair,
     sw_sphere,
 )
 
@@ -147,12 +147,18 @@ def test_sw_vanishes_on_noncompletable_gamma_monomials():
 # -- the pairing -----------------------------------------------------------
 
 def test_pair_examples():
-    assert pair(SphereParams(2, 1), cls(2, "1"), cls(2, "1")) == 1
-    assert pair(SphereParams(3, 1), cls(3, "1"), cls(3, "x")) == 1
-    assert pair(SphereParams(3, 1), cls(3, "x"), cls(3, "x")) == 0
-    assert pair(SphereParams(4, 2), cls(4, "1"), cls(4, "1")) == 0
+    assert class_pair(SphereParams(2, 1), cls(2, "1"), cls(2, "1")) == 1
+    assert class_pair(SphereParams(3, 1), cls(3, "1"), cls(3, "x")) == 1
+    assert class_pair(SphereParams(3, 1), cls(3, "x"), cls(3, "x")) == 0
+    assert class_pair(SphereParams(4, 2), cls(4, "1"), cls(4, "1")) == 0
     # level -2 contributes 2^3 on the unit pair one genus up
-    assert pair(SphereParams(3, 1), cls(3, "1"), cls(3, "1")) == 8
+    assert class_pair(SphereParams(3, 1), cls(3, "1"), cls(3, "1")) == 8
+
+
+def test_class_pair_rejects_genus_mismatch():
+    for z1, z2 in ((cls(3, "1"), cls(2, "1")), (cls(2, "1"), cls(3, "x"))):
+        with pytest.raises(DomainError):
+            class_pair(SphereParams(2, 1), z1, z2)
 
 
 def test_pair_grading_mod_two_r():
@@ -187,7 +193,7 @@ def test_pair_top_degree_is_level_minus_one():
                     continue
                 z1 = ExtClass.monomial(g, m1)
                 z2 = ExtClass.monomial(g, m2)
-                assert pair(p, z1, z2) == sw_sphere(p, -1, wedge(z1, z2))
+                assert class_pair(p, z1, z2) == sw_sphere(p, -1, wedge(z1, z2))
 
 
 # -- gram ------------------------------------------------------------------
@@ -239,7 +245,7 @@ def test_annihilator_elements_annihilate():
         p = SphereParams(g, r)
         monos = [ExtClass.monomial(g, m) for m in monomials_up_to(g, 2 * p.d)]
         for z in annihilator(p):
-            assert all(pair(p, z, m) == 0 for m in monos)
+            assert all(class_pair(p, z, m) == 0 for m in monos)
 
 
 def test_annihilator_degree_zero_and_one_empty_at_g3():
@@ -279,8 +285,8 @@ def test_radical_mixes_degrees_at_genus_five():
     p = SphereParams(5, 1)
     z = cls(5, "-x^2 + x*g1*g6 + x*g2*g7 + g1*g2*g6*g7")
     for m in monos_of_degree(5, 2):
-        assert pair(p, z, ExtClass.monomial(5, m)) == 0
-    assert pair(p, z, cls(5, "1")) == -8
+        assert class_pair(p, z, ExtClass.monomial(5, m)) == 0
+    assert class_pair(p, z, cls(5, "1")) == -8
     Q = quotient(5, 1)
     assert not Q.is_in_radical(z)
     mixed = Q.mixed_radical_elements()
@@ -288,7 +294,7 @@ def test_radical_mixes_degrees_at_genus_five():
     corr = mixed[0]
     assert sorted(corr.degrees()) == [4, 6]
     monos = [ExtClass.monomial(5, m) for m in monomials_up_to(5, 2 * p.d)]
-    assert all(pair(p, corr, m) == 0 for m in monos)
+    assert all(class_pair(p, corr, m) == 0 for m in monos)
     assert Q.nf_class(corr).is_zero()
 
 
@@ -468,5 +474,5 @@ class TestQuotientProperties:
     def test_pair_is_bilinear(self, u, v):
         p = SphereParams(3, 1)
         w = cls(3, "1 + x")
-        assert pair(p, u + v, w) == pair(p, u, w) + pair(p, v, w)
-        assert pair(p, u.scale(F(3, 2)), v) == F(3, 2) * pair(p, u, v)
+        assert class_pair(p, u + v, w) == class_pair(p, u, w) + class_pair(p, v, w)
+        assert class_pair(p, u.scale(F(3, 2)), v) == F(3, 2) * class_pair(p, u, v)

@@ -13,16 +13,15 @@ from swfloer.extalg import embed_bipoly, parse_class
 from swfloer.qlinalg import invert
 from swfloer.symprod import (
     BiPoly,
-    SymProdPresentation,
     alpha_of,
     betti,
     betti_total,
     parse_bipoly,
-    presentation,
     relation_R,
     render_bipoly,
     ring_oracle,
     sector_normal_form,
+    sector_quotient,
 )
 
 F = Fraction
@@ -99,11 +98,10 @@ def test_relation_domain_errors():
 
 def test_sector_nf_fixes_basis_monomials():
     for (g, d) in ((2, 1), (3, 1), (3, 2), (4, 2)):
-        pres = presentation(g, d)
         for k in range(d + 1):
-            for (a, b) in pres.sector_basis(k):
+            for (a, b) in sector_quotient(g, d, k).basis:
                 p = BiPoly.monomial(a, b)
-                assert pres.normal_form(k, p) == p, (g, d, k, a, b)
+                assert sector_normal_form(g, d, k, p) == p, (g, d, k, a, b)
 
 
 def test_sector_nf_examples():
@@ -113,46 +111,50 @@ def test_sector_nf_examples():
     assert sector_normal_form(4, 2, 1, BiPoly.monomial(0, 2)).is_zero()
 
 
+def _generators(g, d, k):
+    return relation_R(g, d, k), BiPoly.theta(1) * relation_R(g, d, k + 1)
+
+
 def test_sector_nf_kills_ideal_generators():
     for (g, d) in ((2, 1), (3, 1), (3, 2), (4, 2), (4, 3), (5, 3)):
-        pres = presentation(g, d)
         for k in range(d + 1):
-            Rk, tRk1 = pres.generators(k)
-            assert pres.normal_form(k, Rk).is_zero(), (g, d, k)
-            assert pres.normal_form(k, tRk1).is_zero(), (g, d, k)
-            assert pres.normal_form(k, BiPoly.theta(g - k + 1)).is_zero(), (g, d, k)
+            Rk, tRk1 = _generators(g, d, k)
+            assert sector_normal_form(g, d, k, Rk).is_zero(), (g, d, k)
+            assert sector_normal_form(g, d, k, tRk1).is_zero(), (g, d, k)
+            assert sector_normal_form(g, d, k, BiPoly.theta(g - k + 1)).is_zero(), \
+                (g, d, k)
 
 
 def test_sector_nf_kills_ideal_multiples():
-    pres = presentation(4, 2)
     for k in (0, 1):
-        Rk, tRk1 = pres.generators(k)
+        Rk, tRk1 = _generators(4, 2, k)
         for mult in (BiPoly.eta(), BiPoly.theta(1), BiPoly.monomial(1, 1)):
-            assert pres.normal_form(k, Rk * mult).is_zero()
-            assert pres.normal_form(k, tRk1 * mult).is_zero()
+            assert sector_normal_form(4, 2, k, Rk * mult).is_zero()
+            assert sector_normal_form(4, 2, k, tRk1 * mult).is_zero()
 
 
 def test_sector_nf_linear():
-    pres = presentation(3, 2)
+    quo = sector_quotient(3, 2, 0)
     p = parse_bipoly("e^2 - t")
     q = parse_bipoly("3*e*t + 1/2*t^2")
-    lhs = pres.normal_form(0, p + q.scale(F(5, 3)))
-    rhs = pres.normal_form(0, p) + pres.normal_form(0, q).scale(F(5, 3))
+    lhs = quo.normal_form(p + q.scale(F(5, 3)))
+    rhs = quo.normal_form(p) + quo.normal_form(q).scale(F(5, 3))
     assert lhs == rhs
 
 
 def test_presentation_dimension_invariant_full_range():
-    # constructor verifies weighted sector sizes against the Betti total
+    # construction verifies weighted sector sizes against the Betti total
     for g in range(2, 6):
         for d in range(g):
-            SymProdPresentation(g, d)
+            for k in range(d + 1):
+                sector_quotient(g, d, k)
 
 
 def test_presentation_domain_errors():
     with pytest.raises(DomainError):
-        SymProdPresentation(3, 3)
+        sector_quotient(3, 3, 0)
     with pytest.raises(DomainError):
-        presentation(3, 1).normal_form(2, BiPoly.unit())
+        sector_normal_form(3, 1, 2, BiPoly.unit())
 
 
 # -- ring oracle -----------------------------------------------------------

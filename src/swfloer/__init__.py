@@ -14,8 +14,9 @@ The package computes, over Q with no floating point anywhere:
     adjunction-inequality verdicts (glueadj),
   * a command line front end (cli).
 
-Everything is desk-scale: genus up to 5 is the supported regime and all
-results at that scale are exact rationals.
+Everything is desk-scale and exact: the verification sweep covers genus
+2 to 5, and the command line goes up to genus 6, checked per case with
+``swfloer verify --g 6 --r r``.
 """
 
 from .errors import (

@@ -29,11 +29,15 @@ from .extalg import (
     ExtClass,
     ExtMono,
     embed_bipoly,
+    gamma_monomials,
+    mono_weight,
     parse_class,
     primitive_basis,
     primitive_dim,
     render_class,
     render_frac,
+    theta_power,
+    top_eval,
     wedge,
 )
 from .floerring import (
@@ -165,6 +169,9 @@ def _cmd_adjunct(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     if args.all:
+        if args.g is not None or args.r is not None:
+            raise DomainError("verify --all runs the whole sweep; it takes "
+                              "no --g or --r")
         cases = SWEEP
         names = [name for name, _, _ in CHECKS]
     else:
@@ -337,30 +344,46 @@ def check_recursion_consistency(cases) -> List[str]:
 
 
 def check_gram_structure(cases) -> List[str]:
-    """Anti-triangular by degree, fundamental pairing on the antidiagonal,
-    invertible: the dense Gram table is zero off the (lambda, -lambda)
-    weight blocks, each of which the ring inverted when it was built."""
+    """Zero off the (lambda, -lambda) weight blocks, anti-triangular by
+    degree, the fundamental pairing on the antidiagonal, invertible.
+
+    The first claim is certified on gamma sets, for all classes: a gamma
+    set W with top_eval(g_W ^ theta^(g-|W|/2)) != 0 must have weight 0.
+    A monomial pairing is that value for the merged gamma set times a
+    sign and (-n)^j/j! != 0, and weights add on merging, so classes of
+    non-opposite weights pair to zero at every level, the level -1 filter
+    included.  The other claims then need only the block entries.  The
+    ring inverted every block when it was built.
+    """
     fails = []
     for g, r in cases:
+        for size in range(0, 2 * g + 1, 2):
+            power = theta_power(g, g - size // 2)
+            for W in gamma_monomials(g, size):
+                m = ExtMono(0, W)
+                if any(mono_weight(g, m)) and \
+                        top_eval(wedge(ExtClass.monomial(g, m), power)):
+                    fails.append(f"({g},{r}): nonzero off the weight blocks: "
+                                 f"gamma set {W} reaches the volume at "
+                                 f"weight {mono_weight(g, m)}")
         ring = build_oracle(g, r)
         sym = ring_oracle(g, ring.d)
         G = ring.gram
         degs = ring.basis_degrees()
-        wts = {i: w for w, idx in ring.weight_groups.items() for i in idx}
         cap = 2 * ring.d
-        for i in range(ring.dim):
-            for j in range(ring.dim):
-                s = degs[i] + degs[j]
-                if s > cap and G[i, j]:
-                    fails.append(f"({g},{r}): nonzero above top degree "
-                                 f"at ({i},{j})")
-                if s == cap and G[i, j] != sym.pairing(ring.basis[i],
-                                                      ring.basis[j]):
-                    fails.append(f"({g},{r}): antidiagonal entry ({i},{j}) "
-                                 f"differs from the fundamental pairing")
-                if G[i, j] and any(a + b for a, b in zip(wts[i], wts[j])):
-                    fails.append(f"({g},{r}): nonzero off the weight "
-                                 f"blocks at ({i},{j})")
+        for w, idx in ring.weight_groups.items():
+            partners = ring.weight_groups.get(tuple(-x for x in w), [])
+            for i in idx:
+                for j in partners:
+                    s = degs[i] + degs[j]
+                    if s > cap and G[i, j]:
+                        fails.append(f"({g},{r}): nonzero above top degree "
+                                     f"at ({i},{j})")
+                    if s == cap and G[i, j] != sym.pairing(ring.basis[i],
+                                                          ring.basis[j]):
+                        fails.append(f"({g},{r}): antidiagonal entry "
+                                     f"({i},{j}) differs from the "
+                                     f"fundamental pairing")
     return fails
 
 
@@ -453,14 +476,11 @@ def check_gluing_cap(cases) -> List[str]:
                 if mij:
                     for kk, gv in g_rows[j]:
                         acc[kk] += mij * gv
-            for k in range(n):
-                if acc[k] != (1 if i == k else 0):
-                    fails.append(f"({g},{r}): cap identity fails at "
-                                 f"({i},{k})")
-                    break
-            else:
-                continue
-            break
+            bad = [k for k in range(n) if acc[k] != (1 if i == k else 0)]
+            if bad:
+                fails.append(f"({g},{r}): cap identity fails at "
+                             f"({i},{bad[0]})")
+                break
     return fails
 
 

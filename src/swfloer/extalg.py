@@ -164,12 +164,6 @@ class ExtClass:
             raise DomainError(f"class is not homogeneous, degrees {degs}")
         return degs[0]
 
-    def homogeneous_components(self) -> Dict[int, "ExtClass"]:
-        out: Dict[int, Dict[ExtMono, Fraction]] = {}
-        for m, c in self.terms.items():
-            out.setdefault(m.degree, {})[m] = c
-        return {d: ExtClass(self.g, t) for d, t in sorted(out.items())}
-
     def sorted_terms(self) -> List[Tuple[ExtMono, Fraction]]:
         return sorted(self.terms.items(), key=lambda mc: mc[0].sort_key())
 

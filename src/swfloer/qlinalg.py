@@ -16,10 +16,10 @@ pinned down once and for all:
 
 No floats are ever produced; integer inputs are coerced to Fraction.
 
->>> m = QMatrix.from_rows([[1, 1], [0, 1]])
+>>> m = QMatrix([[1, 1], [0, 1]])
 >>> invert(m).to_rows()
 [[Fraction(1, 1), Fraction(-1, 1)], [Fraction(0, 1), Fraction(1, 1)]]
->>> kernel_basis(QMatrix.from_rows([[1, 1, 0]]))
+>>> kernel_basis(QMatrix([[1, 1, 0]]))
 [(Fraction(-1, 1), Fraction(1, 1), Fraction(0, 1)), (Fraction(0, 1), Fraction(0, 1), Fraction(1, 1))]
 """
 
@@ -70,18 +70,6 @@ class QMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("QMatrix is immutable")
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence], ncols: Optional[int] = None) -> "QMatrix":
-        return cls(rows, ncols)
-
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "QMatrix":
-        return cls([[ZERO] * ncols for _ in range(nrows)], ncols)
-
     def __getitem__(self, ij: Tuple[int, int]) -> Fraction:
         i, j = ij
         return self._data[i][j]
@@ -91,10 +79,6 @@ class QMatrix:
 
     def to_rows(self) -> List[List[Fraction]]:
         return [list(r) for r in self._data]
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix([[self._data[i][j] for i in range(self.nrows)]
-                        for j in range(self.ncols)], self.nrows)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, QMatrix) and self.ncols == other.ncols
@@ -106,21 +90,12 @@ class QMatrix:
     def __repr__(self):
         return f"QMatrix({self.nrows}x{self.ncols})"
 
-    def __matmul__(self, other: "QMatrix") -> "QMatrix":
-        if self.ncols != other.nrows:
-            raise DomainError("shape mismatch in matrix product")
-        bt = other.transpose()._data
-        return QMatrix([[_dot(r, c) for c in bt] for r in self._data], other.ncols)
-
     def apply(self, vec: Sequence) -> Tuple[Fraction, ...]:
         """Matrix times column vector."""
         v = [_frac(x) for x in vec]
         if len(v) != self.ncols:
             raise DomainError("vector length mismatch")
         return tuple(_dot(r, v) for r in self._data)
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for r in self._data for v in r)
 
 
 def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
@@ -166,7 +141,7 @@ def rref(m: QMatrix) -> Tuple[QMatrix, Tuple[int, ...], int]:
     Returns (R, pivot_cols, rank).  R is the unique RREF, pivot_cols is
     strictly increasing, rank == len(pivot_cols).
 
-    >>> r, p, k = rref(QMatrix.from_rows([[1, 2], [2, 4]]))
+    >>> r, p, k = rref(QMatrix([[1, 2], [2, 4]]))
     >>> (p, k)
     ((0,), 1)
     """
@@ -226,7 +201,7 @@ def reduce_by_rref(vec: Sequence, reduced: QMatrix,
     rows; the result is zero exactly when vec lies in the row space, and
     is otherwise the canonical representative supported off the pivots.
 
-    >>> r, p, _ = rref(QMatrix.from_rows([[1, 0, 2], [0, 1, 3]]))
+    >>> r, p, _ = rref(QMatrix([[1, 0, 2], [0, 1, 3]]))
     >>> reduce_by_rref([1, 1, 0], r, p)
     [Fraction(0, 1), Fraction(0, 1), Fraction(-5, 1)]
     """

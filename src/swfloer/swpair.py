@@ -311,7 +311,6 @@ class PairingQuotient:
                 f"(g,r)=({self.g},{params.r})")
 
         self.dim = len(self.basis)
-        self._gram: Optional[QMatrix] = None
         # torus weight -> indices of the basis elements of that weight
         self.weight_groups: Dict[Tuple[int, ...], List[int]] = {}
         for i, e in enumerate(self.basis):
@@ -321,10 +320,10 @@ class PairingQuotient:
                     f"basis element {i} is not weight-homogeneous at "
                     f"(g,r)=({self.g},{params.r})")
             self.weight_groups.setdefault(weights.pop(), []).append(i)
-        # invert every weight block; SingularMatrix here means the claimed
-        # basis is not a complement, which no valid input should cause
-        self._weight_blocks: Dict[Tuple[int, ...],
-                                  Tuple[List[int], List[int], QMatrix]] = {}
+        # pair and invert every weight block; SingularMatrix here means the
+        # claimed basis is not a complement, which no valid input should cause
+        self._weight_blocks: Dict[Tuple[int, ...], Tuple[
+            List[int], List[int], QMatrix, QMatrix]] = {}
         for w, cols in self.weight_groups.items():
             rows = self.weight_groups.get(tuple(-x for x in w), [])
             if len(rows) != len(cols):
@@ -333,7 +332,7 @@ class PairingQuotient:
                     f"{len(rows)} of the opposite weight")
             block = QMatrix([[self.pairing(self.basis[i], self.basis[l])
                               for i in cols] for l in rows], ncols=len(cols))
-            self._weight_blocks[w] = (cols, rows, invert(block))
+            self._weight_blocks[w] = (cols, rows, block, invert(block))
 
     # -- pairing and Gram --------------------------------------------------
 
@@ -342,20 +341,26 @@ class PairingQuotient:
 
     @property
     def gram(self) -> QMatrix:
-        """The dense table pair(e_i, e_j), computed without weights."""
-        if self._gram is None:
-            self._gram = QMatrix(
-                [[self.pairing(u, v) for v in self.basis] for u in self.basis],
-                ncols=self.dim)
-        return self._gram
+        """The table pair(e_i, e_j), assembled from the weight blocks.
+
+        Entries between basis elements whose weights are not opposite are
+        zero; the gram-structure check certifies this for every class."""
+        return self._assemble((cols, rows, block) for cols, rows, block, _
+                              in self._weight_blocks.values())
 
     def inverse_gram(self) -> QMatrix:
-        """Inverse of the Gram matrix, assembled from the weight blocks."""
+        """Inverse of the Gram matrix, assembled from the block inverses."""
+        return self._assemble((rows, cols, inv) for cols, rows, _, inv
+                              in self._weight_blocks.values())
+
+    def _assemble(self, pieces) -> QMatrix:
+        """The dim x dim matrix with entry (left[a], right[b]) equal to
+        block[b, a] for every (left, right, block) piece, zero elsewhere."""
         m = [[ZERO] * self.dim for _ in range(self.dim)]
-        for cols, rows, inv in self._weight_blocks.values():
-            for a, i in enumerate(cols):
-                for b, l in enumerate(rows):
-                    m[l][i] = inv[a, b]
+        for left, right, block in pieces:
+            for a, i in enumerate(left):
+                for b, l in enumerate(right):
+                    m[i][l] = block[b, a]
         return QMatrix(m, self.dim)
 
     # -- normal forms ------------------------------------------------------
@@ -374,7 +379,7 @@ class PairingQuotient:
         for w, terms in parts.items():
             if w not in self._weight_blocks:
                 continue
-            cols, rows, inv = self._weight_blocks[w]
+            cols, rows, _, inv = self._weight_blocks[w]
             part = ExtClass(self.g, terms)
             values = [self.pairing(part, self.basis[l]) for l in rows]
             for i, c in zip(cols, inv.apply(values)):

@@ -124,9 +124,6 @@ class BiPoly:
     def weights(self) -> List[int]:
         return sorted({a + b for (a, b) in self.terms})
 
-    def weight_component(self, m: int) -> "BiPoly":
-        return BiPoly({k: c for k, c in self.terms.items() if k[0] + k[1] == m})
-
     def sorted_terms(self) -> List[Tuple[Tuple[int, int], Fraction]]:
         return sorted(self.terms.items(), key=lambda t: (t[0][0] + t[0][1], -t[0][0]))
 
@@ -347,6 +344,10 @@ def sector_quotient(g: int, d: int, k: int) -> SectorQuotient:
     sum over k of these sectors tensored with the degree-k primitive
     subspace.  Construction first verifies that the weighted sector sizes
     add up to the total Betti number.
+
+    theta^(g-k+1) is not passed as a generator: its weight g-k+1 exceeds
+    the cap d-k+1 (d <= g-1), and the certified basis already puts every
+    weight from the cap up in the ideal of the other two.
     """
     if g < 2:
         raise DomainError(f"genus must be >= 2, got {g}")
@@ -360,8 +361,7 @@ def sector_quotient(g: int, d: int, k: int) -> SectorQuotient:
             f"{betti_total(g, d)} at (g,d)=({g},{d})")
     if k < 0 or k > d:
         raise DomainError(f"k must satisfy 0 <= k <= d, got k={k}")
-    gens = [relation_R(g, d, k), BiPoly.theta(1) * relation_R(g, d, k + 1),
-            BiPoly.theta(g - k + 1)]
+    gens = [relation_R(g, d, k), BiPoly.theta(1) * relation_R(g, d, k + 1)]
     return SectorQuotient(gens, sector_monomials(d - k), d - k + 1)
 
 

@@ -7,7 +7,9 @@ claim breaks.  All comparisons are exact rational identities; there are
 no tolerances anywhere.
 """
 
-from swfloer.cli import CHECKS, SWEEP
+import pytest
+
+from swfloer.cli import CHECKS, SWEEP, main
 
 _BY_NAME = {name: fn for name, fn, _ in CHECKS}
 
@@ -60,3 +62,13 @@ def test_10_betti_triple_count():
 
 def test_11_adjunction_query_table():
     _run("adjunction-table")
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_12_genus_six_verifies(r, capsys):
+    # the largest genus the command line accepts; (6, 1) is left out
+    # for its cost
+    assert main(["verify", "--g", "6", "--r", str(r)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == sum(per_case for _, _, per_case in CHECKS) == 9
+    assert all(line.startswith("PASS ") for line in lines), lines

@@ -5,6 +5,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from swfloer import cli
 from swfloer.cli import main
 from swfloer.symprod import BiPoly, sector_normal_form
 
@@ -289,3 +290,23 @@ def test_verify_needs_case_or_all(capsys):
     code, _, err = run(capsys, "verify")
     assert code == 2
     assert err.startswith("DomainError:")
+
+
+def test_verify_all_rejects_case_flags(capsys):
+    # --all runs the whole sweep; a case flag beside it is a usage error,
+    # not silently ignored
+    for flags in (["--g", "3"], ["--r", "1"], ["--g", "3", "--r", "1"]):
+        code, out, err = run(capsys, "verify", "--all", *flags)
+        assert code == 2, flags
+        assert out == ""
+        assert err.startswith("DomainError:") and err.count("\n") == 1
+
+
+def test_gram_structure_certificate_reads_the_weights(monkeypatch):
+    # with a wrong weight function the gamma-set certificate must fail:
+    # the volume monomial reaches the volume but gets a nonzero weight
+    assert cli.check_gram_structure([(3, 1)]) == []
+    monkeypatch.setattr(cli, "mono_weight",
+                        lambda g, m: (len(m.gammas),) + (0,) * (g - 1))
+    fails = cli.check_gram_structure([(3, 1)])
+    assert fails and "nonzero off the weight blocks" in fails[0]

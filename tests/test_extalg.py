@@ -26,6 +26,8 @@ from swfloer.extalg import (
 )
 from swfloer.qlinalg import QMatrix, rref
 
+from helpers import homogeneous_components
+
 F = Fraction
 
 
@@ -255,7 +257,7 @@ class TestAlgebraProperties:
     @given(small_classes(), small_classes())
     @settings(max_examples=50, deadline=None)
     def test_graded_commutative(self, a, b):
-        for da, ca in a.homogeneous_components().items():
-            for db, cb in b.homogeneous_components().items():
+        for da, ca in homogeneous_components(a).items():
+            for db, cb in homogeneous_components(b).items():
                 sign = -1 if (da % 2) and (db % 2) else 1
                 assert wedge(ca, cb) == wedge(cb, ca).scale(sign)

@@ -29,6 +29,9 @@ from swfloer.swpair import (
     monos_of_degree,
     sw_sphere,
 )
+from swfloer.symprod import ring_oracle
+
+from helpers import dense_gram
 
 F = Fraction
 
@@ -402,7 +405,7 @@ def test_structure_constants_match_products():
     # the product coefficients solve the Gram system of the direct table:
     # sum_k c_k pair(e_k, e_l) = pair(e_i e_j, e_l) for every l
     Q = quotient(4, 1)
-    G = Q.gram
+    G = dense_gram(Q)
     for i in (0, 3, 9):
         for j in (0, 5):
             vec = Q.product_vector(Q.basis[i], Q.basis[j])
@@ -421,11 +424,19 @@ def test_gram_vanishes_off_weight_blocks():
             weights = {mono_weight(g, m) for m in e.terms}
             assert len(weights) == 1, (g, r, e)
             wts.append(weights.pop())
-        G = Q.gram
+        G = dense_gram(Q)
         for i in range(Q.dim):
             for j in range(Q.dim):
                 if G[i, j]:
                     assert wts[i] == tuple(-w for w in wts[j]), (g, r, i, j)
+
+
+def test_gram_equals_dense_table():
+    # the Gram matrix is assembled from the weight blocks; every entry,
+    # zeros included, must be the pairing itself, for both pairings
+    for g, r in DIMS_BY_DEGREE:
+        for Q in (quotient(g, r), ring_oracle(g, g - 1 - r)):
+            assert Q.gram == dense_gram(Q), (g, r, Q.n_filter)
 
 
 def test_quotient_gram_invertible():
@@ -463,7 +474,7 @@ class TestQuotientProperties:
     @given(classes_g3())
     def test_nf_solves_direct_gram_system(self, u):
         Q = quotient(3, 1)
-        G = Q.gram
+        G = dense_gram(Q)
         vec = Q.nf_vector(u)
         for l in range(Q.dim):
             assert sum(c * G[k, l] for k, c in enumerate(vec)) \

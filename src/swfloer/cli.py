@@ -84,7 +84,7 @@ GENUS_CEILING = 6
 
 def _print_matrix(m: QMatrix, out) -> None:
     for i in range(m.nrows):
-        out.write(" ".join(render_frac(m[i, j]) for j in range(m.ncols)))
+        out.write(" ".join(map(render_frac, m.row(i))))
         out.write("\n")
 
 
@@ -368,22 +368,16 @@ def check_gram_structure(cases) -> List[str]:
                                  f"weight {mono_weight(g, m)}")
         ring = build_oracle(g, r)
         sym = ring_oracle(g, ring.d)
-        G = ring.gram
         degs = ring.basis_degrees()
         cap = 2 * ring.d
-        for w, idx in ring.weight_groups.items():
-            partners = ring.weight_groups.get(tuple(-x for x in w), [])
-            for i in idx:
-                for j in partners:
-                    s = degs[i] + degs[j]
-                    if s > cap and G[i, j]:
-                        fails.append(f"({g},{r}): nonzero above top degree "
-                                     f"at ({i},{j})")
-                    if s == cap and G[i, j] != sym.pairing(ring.basis[i],
-                                                          ring.basis[j]):
-                        fails.append(f"({g},{r}): antidiagonal entry "
-                                     f"({i},{j}) differs from the "
-                                     f"fundamental pairing")
+        for i, j, v in ring.block_entries():
+            s = degs[i] + degs[j]
+            if s > cap and v:
+                fails.append(f"({g},{r}): nonzero above top degree "
+                             f"at ({i},{j})")
+            if s == cap and v != sym.pairing(ring.basis[i], ring.basis[j]):
+                fails.append(f"({g},{r}): antidiagonal entry ({i},{j}) "
+                             f"differs from the fundamental pairing")
     return fails
 
 
@@ -465,18 +459,17 @@ def check_gluing_cap(cases) -> List[str]:
                 fails.append(f"({g},{r}): product formula failed")
         ring = build_oracle(g, r)
         _, m = universal_matrix(g, r)
-        G = ring.gram
-        n = ring.dim
-        g_rows = [[(k, G[j, k]) for k in range(n) if G[j, k]]
-                  for j in range(n)]
-        for i in range(n):
-            acc = [Fraction(0)] * n
-            for j in range(n):
-                mij = m[i, j]
+        g_rows = [[] for _ in range(ring.dim)]
+        for j, k, v in ring.block_entries():
+            if v:
+                g_rows[j].append((k, v))
+        for i in range(ring.dim):
+            acc = {i: Fraction(-1)}  # row i of M G minus row i of the identity
+            for mij, row in zip(m.row(i), g_rows):
                 if mij:
-                    for kk, gv in g_rows[j]:
-                        acc[kk] += mij * gv
-            bad = [k for k in range(n) if acc[k] != (1 if i == k else 0)]
+                    for k, gv in row:
+                        acc[k] = acc.get(k, 0) + mij * gv
+            bad = sorted(k for k, v in acc.items() if v)
             if bad:
                 fails.append(f"({g},{r}): cap identity fails at "
                              f"({i},{bad[0]})")

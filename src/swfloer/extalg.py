@@ -354,7 +354,6 @@ _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
 def render_frac(q: Fraction) -> str:
-    q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 

@@ -25,8 +25,10 @@ from .extalg import (
     ExtClass,
     ExtMono,
     embed_bipoly,
+    mono_weight,
     parse_factors,
     render_mono,
+    wedge,
 )
 from .floerring import build_oracle, tilde_relation
 from .qlinalg import QMatrix, block_kernel, reduce_by_rref, rref
@@ -173,17 +175,11 @@ def glue(g: int, r: int, t1: SWTable, t2: SWTable) -> Fraction:
                 f"{side} table is for (g, r) = ({t.g}, {t.r}), "
                 f"gluing asked for ({g}, {r})")
     ring = build_oracle(g, r)
-    _, m = universal_matrix(g, r)
     left = [t1.evaluate(z) for z in ring.basis]
     right = [t2.evaluate(z) for z in ring.basis]
-    total = ZERO
-    for i, a in enumerate(left):
-        if not a:
-            continue
-        for j, b in enumerate(right):
-            if b:
-                total += m[i, j] * a * b
-    return total
+    return sum((v * left[i] * right[j]
+                for i, j, v in ring.block_entries(inverse=True)
+                if left[i] and right[j]), ZERO)
 
 
 def cap_table(g: int, r: int, k: int) -> SWTable:
@@ -249,20 +245,26 @@ def c_coefficient(g: int, r: int) -> Fraction:
 def kernel_K_basis(g: int, r: int) -> Tuple[Tuple[Fraction, ...], ...]:
     """Basis of {phi : gamma_j . phi = 0 for all j}, in oracle coordinates.
 
-    Stacks the multiplication-by-gamma_j maps on the canonical basis
-    and returns the kernel of the stack.  Multiplication by gamma_j
-    shifts torus weights, so each row of the stack meets the basis
-    elements of one weight only; the kernel is taken one basis weight
-    at a time.
+    The pairing is nondegenerate, so gamma_j . phi = 0 exactly when
+    pair(gamma_j ^ phi, e_l) = 0 for every basis element e_l; the rows
+    pair(gamma_j ^ e_i, e_l) thus have the row space, and the canonical
+    kernel, of the multiplication maps.  For e_i of weight w only the e_l
+    of weight -(w + wt gamma_j) pair nonzero (the gram-structure check
+    certifies this), so each weight is reduced alone, stopping at full rank.
     """
     ring = build_oracle(g, r)
-    gammas = [ExtClass.monomial(g, ExtMono(0, (j,))) for j in range(1, 2 * g + 1)]
     blocks = []
-    for cols in ring.weight_groups.values():
+    for w, cols in ring.weight_groups.items():
         rows = []
-        for gcls in gammas:
-            images = [ring.product_vector(gcls, ring.basis[i]) for i in cols]
-            rows.extend(row for row in zip(*images) if any(row))
+        for j in range(1, 2 * g + 1):
+            wt = [-a - b for a, b in zip(w, mono_weight(g, ExtMono(0, (j,))))]
+            partners = ring.weight_groups.get(tuple(wt), ())
+            if partners and len(rows) < len(cols):
+                images = [wedge(ExtClass.gamma(g, j), ring.basis[i]) for i in cols]
+                rows.extend([ring.pairing(z, ring.basis[l]) for z in images]
+                            for l in partners)
+                rows = [v for v in rref(QMatrix(rows, len(cols)))[0].to_rows()
+                        if any(v)]
         blocks.append((cols, rows))
     return tuple(block_kernel(blocks, ring.dim)[0])
 

@@ -127,7 +127,7 @@ def _rref_rows(rows: List[List[Fraction]], ncols: int) -> Tuple[List[List[Fracti
         for i in range(nrows):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
         if r == nrows:

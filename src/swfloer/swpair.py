@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError, VerificationFailure
 from .extalg import (
@@ -339,28 +339,33 @@ class PairingQuotient:
     def pairing(self, u: ExtClass, v: ExtClass) -> Fraction:
         return class_pair(self.params, u, v, self.n_filter)
 
+    def block_entries(self, inverse: bool = False
+                      ) -> Iterator[Tuple[int, int, Fraction]]:
+        """Every entry (i, j, v) inside the (lambda, -lambda) weight blocks,
+        zeros included: v is pair(e_i, e_j), or with inverse=True entry
+        (i, j) of the inverse Gram matrix.  Both matrices are zero at every
+        other (i, j); the gram-structure check certifies this for every
+        class."""
+        for cols, rows, block, inv in self._weight_blocks.values():
+            left, right, m = ((rows, cols, inv) if inverse
+                              else (cols, rows, block))
+            for a, i in enumerate(left):
+                for b, j in enumerate(right):
+                    yield i, j, m[b, a]
+
     @property
     def gram(self) -> QMatrix:
-        """The table pair(e_i, e_j), assembled from the weight blocks.
-
-        Entries between basis elements whose weights are not opposite are
-        zero; the gram-structure check certifies this for every class."""
-        return self._assemble((cols, rows, block) for cols, rows, block, _
-                              in self._weight_blocks.values())
+        """The table pair(e_i, e_j)."""
+        return self._assemble(self.block_entries())
 
     def inverse_gram(self) -> QMatrix:
         """Inverse of the Gram matrix, assembled from the block inverses."""
-        return self._assemble((rows, cols, inv) for cols, rows, _, inv
-                              in self._weight_blocks.values())
+        return self._assemble(self.block_entries(inverse=True))
 
-    def _assemble(self, pieces) -> QMatrix:
-        """The dim x dim matrix with entry (left[a], right[b]) equal to
-        block[b, a] for every (left, right, block) piece, zero elsewhere."""
+    def _assemble(self, entries) -> QMatrix:
         m = [[ZERO] * self.dim for _ in range(self.dim)]
-        for left, right, block in pieces:
-            for a, i in enumerate(left):
-                for b, l in enumerate(right):
-                    m[i][l] = block[b, a]
+        for i, j, v in entries:
+            m[i][j] = v
         return QMatrix(m, self.dim)
 
     # -- normal forms ------------------------------------------------------

@@ -1,10 +1,11 @@
 """Helpers that only the tests need: dense matrix arithmetic, the Gram
-table computed without weights, and splitting by degree or weight."""
+table computed without weights, the gamma-annihilated subspace from
+products, and splitting by degree or weight."""
 
 from functools import lru_cache
 
 from swfloer.extalg import ExtClass
-from swfloer.qlinalg import QMatrix
+from swfloer.qlinalg import QMatrix, block_kernel
 from swfloer.swpair import class_pair
 from swfloer.symprod import BiPoly
 
@@ -26,6 +27,21 @@ def dense_gram(Q):
     PairingQuotient, without reference to torus weights."""
     return QMatrix([[class_pair(Q.params, u, v, Q.n_filter) for v in Q.basis]
                     for u in Q.basis], Q.dim)
+
+
+def product_row_kernel(ring):
+    """Canonical basis of {phi : gamma_j . phi = 0 for all j} from the
+    multiplication-by-gamma_j maps, whose columns are normal forms: the
+    reference for glueadj.kernel_K_basis, which reads pairing rows."""
+    gammas = [ExtClass.gamma(ring.g, j) for j in range(1, 2 * ring.g + 1)]
+    blocks = []
+    for cols in ring.weight_groups.values():
+        rows = []
+        for gcls in gammas:
+            images = [ring.product_vector(gcls, ring.basis[i]) for i in cols]
+            rows.extend(row for row in zip(*images) if any(row))
+        blocks.append((cols, rows))
+    return tuple(block_kernel(blocks, ring.dim)[0])
 
 
 def homogeneous_components(z):

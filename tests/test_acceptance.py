@@ -64,10 +64,9 @@ def test_11_adjunction_query_table():
     _run("adjunction-table")
 
 
-@pytest.mark.parametrize("r", [2, 3, 4, 5])
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
 def test_12_genus_six_verifies(r, capsys):
-    # the largest genus the command line accepts; (6, 1) is left out
-    # for its cost
+    # the largest genus the command line accepts
     assert main(["verify", "--g", "6", "--r", str(r)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == sum(per_case for _, _, per_case in CHECKS) == 9

@@ -7,7 +7,12 @@ import pytest
 
 from swfloer import cli
 from swfloer.cli import main
+from swfloer.floerring import build_oracle
+from swfloer.glueadj import universal_matrix
+from swfloer.qlinalg import QMatrix
 from swfloer.symprod import BiPoly, sector_normal_form
+
+from helpers import dense_gram
 
 
 def run(capsys, *argv):
@@ -310,3 +315,31 @@ def test_gram_structure_certificate_reads_the_weights(monkeypatch):
                         lambda g, m: (len(m.gammas),) + (0,) * (g - 1))
     fails = cli.check_gram_structure([(3, 1)])
     assert fails and "nonzero off the weight blocks" in fails[0]
+
+
+@pytest.mark.parametrize("where", ["off-block", "in-block"])
+def test_gluing_cap_catches_a_wrong_universal_matrix(where, monkeypatch):
+    # the check multiplies every row of the dense universal matrix, so an
+    # entry outside the weight blocks is caught like one inside.  Adding 1
+    # at (i, j) of M = G^-1 adds row j of G to row i of M G = I, so the
+    # first failure is (i, k) for the first k with G[j, k] != 0, read
+    # here from the dense Gram table, which is computed without weights
+    g, r = 4, 1
+    ring = build_oracle(g, r)
+    labels, m = universal_matrix(g, r)
+    entries = list(ring.block_entries(inverse=True))
+    if where == "in-block":
+        cells = [(i, j) for i, j, v in entries if v]
+    else:
+        inside = {(i, j) for i, j, _ in entries}
+        cells = [(i, j) for i in range(ring.dim) for j in range(ring.dim)
+                 if (i, j) not in inside]
+    i, j = cells[len(cells) // 2]
+    rows = m.to_rows()
+    rows[i][j] += 1
+    k = next(k for k, v in enumerate(dense_gram(ring).row(j)) if v)
+    assert cli.check_gluing_cap([(g, r)]) == []
+    monkeypatch.setattr(cli, "universal_matrix",
+                        lambda g, r: (labels, QMatrix(rows, ring.dim)))
+    assert cli.check_gluing_cap([(g, r)]) == [
+        f"({g},{r}): cap identity fails at ({i},{k})"]

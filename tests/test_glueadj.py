@@ -1,12 +1,14 @@
 """Tests for gluing along a surface and the adjunction checkers."""
 
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from swfloer.cli import SWEEP
 from swfloer.errors import DomainError, GenusMismatch
-from swfloer.extalg import ExtClass, ExtMono, wedge
+from swfloer.extalg import ExtClass, ExtMono, monomials_up_to, wedge
 from swfloer.floerring import build_oracle
 from swfloer.glueadj import (
     AdjunctionQuery,
@@ -27,7 +29,7 @@ from swfloer.glueadj import (
 from swfloer.qlinalg import QMatrix, kernel_basis, rref
 from swfloer.swpair import monos_of_degree
 
-from helpers import dense_gram
+from helpers import dense_gram, product_row_kernel
 
 F = Fraction
 
@@ -127,6 +129,24 @@ def test_universal_matrix_inverts_gram():
             for k in range(n):
                 want = F(1) if i == k else F(0)
                 assert sum(m[i, j] * G[j, k] for j in range(n)) == want
+
+
+def test_glue_equals_dense_double_sum():
+    # glue sums over the inverse block entries only; the reference is
+    # sum_ij m_ij t1(z_i) t2(z_j) over the whole dense universal matrix,
+    # with tables that are nonzero on monomials of every degree
+    rng = random.Random(1)
+    for g, r in SWEEP:
+        ring = build_oracle(g, r)
+        _, m = universal_matrix(g, r)
+        monos = monomials_up_to(g, 2 * ring.d)
+        t1, t2 = (SWTable(g, r, {mono: F(rng.randint(-9, 9), rng.randint(1, 5))
+                                 for mono in monos}) for _ in range(2))
+        left = [t1.evaluate(z) for z in ring.basis]
+        right = [t2.evaluate(z) for z in ring.basis]
+        want = sum(m[i, j] * left[i] * right[j]
+                   for i in range(ring.dim) for j in range(ring.dim))
+        assert glue(g, r, t1, t2) == want, (g, r)
 
 
 def test_universal_matrix_cached():
@@ -265,6 +285,14 @@ def test_kernel_K_basis_matches_dense_stack():
         images = [ring.product_vector(gcls, e) for e in ring.basis]
         rows.extend(list(row) for row in zip(*images))
     assert kernel_K_basis(g, r) == tuple(kernel_basis(QMatrix(rows, ring.dim)))
+
+
+def test_kernel_K_basis_matches_product_rows():
+    # the pairing rows and the normal-form product rows span the same
+    # row space, so the canonical kernel bases are identical
+    for g, r in SWEEP:
+        assert kernel_K_basis(g, r) == product_row_kernel(build_oracle(g, r)), \
+            (g, r)
 
 
 def test_kernel_pairing_rank_parity():

@@ -387,9 +387,9 @@ def _random_homogeneous(ring, rng) -> ExtClass:
         by_deg.setdefault(lab.degree, []).append(e)
     while True:
         q = rng.choice(sorted(by_deg))
-        out = ExtClass.zero(ring.g)
-        for e in by_deg[q]:
-            out = out + e.scale(Fraction(rng.randint(-3, 3)))
+        ks = [rng.randint(-3, 3) for _ in by_deg[q]]
+        out = ExtClass(ring.g, ((m, k * c) for k, e in zip(ks, by_deg[q])
+                                for m, c in e.terms.items()))
         if not out.is_zero():
             return out
 

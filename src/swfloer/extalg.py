@@ -30,12 +30,12 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import DomainError, GenusMismatch
-from .qlinalg import QMatrix, kernel_basis
+from .qlinalg import QMatrix, frac, kernel_basis, sum_terms
 
 
 class ExtMono(NamedTuple):
@@ -107,20 +107,19 @@ def _merge_sign(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, Optional[T
 
 
 class ExtClass:
-    """A finite Q-linear combination of ExtMono terms at a fixed genus."""
+    """A finite Q-linear combination of ExtMono terms at a fixed genus,
+    summed in one pass (qlinalg.sum_terms) from a mapping or from
+    (monomial, coefficient) pairs; each surviving monomial is checked."""
 
     __slots__ = ("g", "terms")
 
-    def __init__(self, g: int, terms: Optional[Dict[ExtMono, Fraction]] = None):
+    def __init__(self, g: int, terms: Iterable = ()):
         if g < 1:
             raise DomainError(f"genus must be >= 1, got {g}")
         self.g = g
-        self.terms = {}
-        if terms:
-            for m, c in terms.items():
-                if c:
-                    _check_mono(g, m)
-                    self.terms[m] = Fraction(c)
+        self.terms = sum_terms(terms)
+        for m in self.terms:
+            _check_mono(g, m)
 
     # -- constructors ------------------------------------------------------
 
@@ -130,19 +129,19 @@ class ExtClass:
 
     @classmethod
     def unit(cls, g: int) -> "ExtClass":
-        return cls(g, {UNIT_MONO: Fraction(1)})
+        return cls(g, {UNIT_MONO: 1})
 
     @classmethod
     def monomial(cls, g: int, m: ExtMono, coeff=1) -> "ExtClass":
-        return cls(g, {m: Fraction(coeff)})
+        return cls(g, {m: coeff})
 
     @classmethod
     def x_power(cls, g: int, a: int) -> "ExtClass":
-        return cls(g, {ExtMono(a, ()): Fraction(1)})
+        return cls(g, {ExtMono(a, ()): 1})
 
     @classmethod
     def gamma(cls, g: int, i: int) -> "ExtClass":
-        return cls(g, {ExtMono(0, (i,)): Fraction(1)})
+        return cls(g, {ExtMono(0, (i,)): 1})
 
     # -- structure ---------------------------------------------------------
 
@@ -175,10 +174,7 @@ class ExtClass:
 
     def __add__(self, other: "ExtClass") -> "ExtClass":
         self._require_same_genus(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return ExtClass(self.g, terms)
+        return ExtClass(self.g, chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self) -> "ExtClass":
         return ExtClass(self.g, {m: -c for m, c in self.terms.items()})
@@ -187,7 +183,7 @@ class ExtClass:
         return self + (-other)
 
     def scale(self, k) -> "ExtClass":
-        k = Fraction(k)
+        k = frac(k)
         return ExtClass(self.g, {m: c * k for m, c in self.terms.items()})
 
     def __mul__(self, other):
@@ -212,15 +208,15 @@ class ExtClass:
 def wedge(u: ExtClass, v: ExtClass) -> ExtClass:
     """Wedge product, bilinear over Q; raises GenusMismatch across genera."""
     u._require_same_genus(v)
-    acc: Dict[ExtMono, Fraction] = {}
-    for m1, c1 in u.terms.items():
-        for m2, c2 in v.terms.items():
-            sign, gam = _merge_sign(m1.gammas, m2.gammas)
-            if sign == 0:
-                continue
-            m = ExtMono(m1.xexp + m2.xexp, gam)
-            acc[m] = acc.get(m, Fraction(0)) + sign * c1 * c2
-    return ExtClass(u.g, acc)
+
+    def products():
+        for m1, c1 in u.terms.items():
+            for m2, c2 in v.terms.items():
+                sign, gam = _merge_sign(m1.gammas, m2.gammas)
+                if sign:
+                    yield ExtMono(m1.xexp + m2.xexp, gam), sign * c1 * c2
+
+    return ExtClass(u.g, products())
 
 
 @lru_cache(maxsize=None)
@@ -228,7 +224,7 @@ def theta_class(g: int) -> ExtClass:
     """theta = sum_{i=1}^{g} gamma_i ^ gamma_{g+i}."""
     if g < 1:
         raise DomainError("genus must be >= 1")
-    return ExtClass(g, {ExtMono(0, (i, g + i)): Fraction(1) for i in range(1, g + 1)})
+    return ExtClass(g, {ExtMono(0, (i, g + i)): 1 for i in range(1, g + 1)})
 
 
 @lru_cache(maxsize=None)
@@ -332,11 +328,9 @@ def embed_bipoly(g: int, poly) -> ExtClass:
     are ((eta_exp, theta_exp), coefficient).
     """
     items = poly.terms.items() if hasattr(poly, "terms") else dict(poly).items()
-    out = ExtClass.zero(g)
-    for (a, b), coeff in items:
-        term = wedge(ExtClass.x_power(g, a), theta_power(g, b))
-        out = out + term.scale(coeff)
-    return out
+    return ExtClass(g, [(m, c * frac(coeff)) for (a, b), coeff in items
+                        for m, c in wedge(ExtClass.x_power(g, a),
+                                          theta_power(g, b)).terms.items()])
 
 
 # -- text format -----------------------------------------------------------
@@ -459,7 +453,7 @@ def parse_class(g: int, text: str) -> ExtClass:
         raise DomainError("empty expression")
     # split on +/- at top level (no parentheses in the grammar)
     tokens = re.findall(r"[+-]|[^+-]+", text.replace(" ", ""))
-    out = ExtClass.zero(g)
+    terms: List[Tuple[ExtMono, Fraction]] = []
     sign = 1
     expect_term = True
     for tok in tokens:
@@ -482,9 +476,10 @@ def parse_class(g: int, text: str) -> ExtClass:
             body = parts[1] if len(parts) > 1 else "1"
         elif parts[0] == "1" and len(parts) == 1:
             body = "1"
-        out = out + parse_monomial(g, body).scale(coeff)
+        terms.extend((m, c * coeff)
+                     for m, c in parse_monomial(g, body).terms.items())
         sign = 1
         expect_term = False
     if expect_term:
         raise DomainError(f"dangling operator in {text!r}")
-    return out
+    return ExtClass(g, terms)

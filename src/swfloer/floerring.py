@@ -36,7 +36,7 @@ from .errors import (
     SingularMatrix,
     VerificationFailure,
 )
-from .extalg import ExtClass, primitive_dim
+from .extalg import ExtClass, ExtMono, primitive_dim
 from .qlinalg import QMatrix, invert
 from .swpair import PairingQuotient, SphereParams
 from .symprod import (
@@ -177,12 +177,9 @@ def _run_recursion(g: int, r: int):
                 pm = poly_add(pm, poly_scale(_x_power(g - i), c))
         polys[m] = pm
         m += 1
-    terms: Dict[Tuple[int, int], Fraction] = {}
-    for (i, mm), c in coeffs.items():
-        w = a0 + mm * r
-        terms[(w - i, i)] = terms.get((w - i, i), ZERO) + \
-            c / (factorial(i) * comb(g, i))
-    return polys, coeffs, BiPoly(terms)
+    return polys, coeffs, BiPoly(
+        ((a0 + mm * r - i, i), c / (factorial(i) * comb(g, i)))
+        for (i, mm), c in coeffs.items())
 
 
 @dataclass(frozen=True)
@@ -324,11 +321,11 @@ def deformation_components(ring: PairingQuotient, f1: ExtClass,
     N = ring.params.N
     cap = 2 * ring.d
     vec = ring.product_vector(f1, f2)
-    by_degree: Dict[int, ExtClass] = {}
+    by_degree: Dict[int, List[Tuple[ExtMono, Fraction]]] = {}
     for c, label, e in zip(vec, ring.labels, ring.basis):
         if c:
-            q = label.degree
-            by_degree[q] = by_degree.get(q, ExtClass.zero(ring.g)) + e.scale(c)
+            by_degree.setdefault(label.degree, []).extend(
+                (m, c * ce) for m, ce in e.terms.items())
     ladder = []
     q = base
     while q <= cap:
@@ -339,4 +336,4 @@ def deformation_components(ring: PairingQuotient, f1: ExtClass,
             raise VerificationFailure(
                 f"product component at degree {q} off the ladder "
                 f"{ladder} at (g,r)=({ring.g},{ring.params.r})")
-    return [by_degree.get(q, ExtClass.zero(ring.g)) for q in ladder]
+    return [ExtClass(ring.g, by_degree.get(q, ())) for q in ladder]

@@ -31,7 +31,7 @@ from .extalg import (
     wedge,
 )
 from .floerring import build_oracle, tilde_relation
-from .qlinalg import QMatrix, block_kernel, reduce_by_rref, rref
+from .qlinalg import QMatrix, block_kernel, frac, reduce_by_rref, rref
 from .swpair import BasisLabel, SphereParams, class_pair, monos_of_degree
 
 ZERO = Fraction(0)
@@ -65,7 +65,7 @@ class SWTable:
                 raise DomainError(
                     f"monomial {render_mono(m)} has degree {m.degree} "
                     f"above the table cap {cap}")
-            v = Fraction(v)
+            v = frac(v)
             if v:
                 clean[m] = v
         self.g = g

@@ -14,7 +14,8 @@ pinned down once and for all:
   * ``reduce_by_rref`` reduces a vector modulo the row space of an rref
     by clearing its pivot coordinates.
 
-No floats are ever produced; integer inputs are coerced to Fraction.
+No floats are ever produced: ``frac`` coerces every entry and coefficient
+in the package to Fraction and rejects a float with a DomainError.
 
 >>> m = QMatrix([[1, 1], [0, 1]])
 >>> invert(m).to_rows()
@@ -26,7 +27,7 @@ No floats are ever produced; integer inputs are coerced to Fraction.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import DomainError, SingularMatrix
 
@@ -34,12 +35,27 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _frac(v) -> Fraction:
+def frac(v) -> Fraction:
+    """The one coercion to Q: a float is a DomainError, never rounded."""
     if isinstance(v, Fraction):
         return v
     if isinstance(v, float):
         raise DomainError("float entries are not allowed; use Fraction or int")
     return Fraction(v)
+
+
+def sum_terms(terms) -> Dict:
+    """The nonzero coefficient sums, in one pass, of a mapping or of an
+    iterable of (key, coefficient) pairs with repeated keys; every
+    coefficient goes through frac, and a mapping is never read as pairs."""
+    if isinstance(terms, Mapping):
+        sums = {k: frac(c) for k, c in terms.items()}
+    else:
+        sums = {}
+        for k, c in terms:
+            c = frac(c)
+            sums[k] = sums[k] + c if k in sums else c
+    return {k: c for k, c in sums.items() if c}
 
 
 class QMatrix:
@@ -53,7 +69,7 @@ class QMatrix:
     __slots__ = ("_data", "nrows", "ncols")
 
     def __init__(self, data: Iterable[Iterable], ncols: Optional[int] = None):
-        rows = tuple(tuple(_frac(v) for v in row) for row in data)
+        rows = tuple(tuple(frac(v) for v in row) for row in data)
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -92,7 +108,7 @@ class QMatrix:
 
     def apply(self, vec: Sequence) -> Tuple[Fraction, ...]:
         """Matrix times column vector."""
-        v = [_frac(x) for x in vec]
+        v = [frac(x) for x in vec]
         if len(v) != self.ncols:
             raise DomainError("vector length mismatch")
         return tuple(_dot(r, v) for r in self._data)
@@ -178,7 +194,7 @@ def block_kernel(blocks: Iterable[Tuple[Sequence[int], Sequence[Sequence]]],
     vectors = {}
     pivots: List[int] = []
     for cols, rows in blocks:
-        reduced, local = _rref_rows([[_frac(v) for v in r] for r in rows],
+        reduced, local = _rref_rows([[frac(v) for v in r] for r in rows],
                                     len(cols))
         pivot_set = set(local)
         for f, col in enumerate(cols):
@@ -205,7 +221,7 @@ def reduce_by_rref(vec: Sequence, reduced: QMatrix,
     >>> reduce_by_rref([1, 1, 0], r, p)
     [Fraction(0, 1), Fraction(0, 1), Fraction(-5, 1)]
     """
-    out = [_frac(x) for x in vec]
+    out = [frac(x) for x in vec]
     if len(out) != reduced.ncols:
         raise DomainError("vector length mismatch")
     for i, p in enumerate(pivots):

@@ -398,11 +398,8 @@ class PairingQuotient:
         return all(c == 0 for c in self.nf_vector(z))
 
     def element_from_vector(self, vec: Sequence[Fraction]) -> ExtClass:
-        out = ExtClass.zero(self.g)
-        for c, e in zip(vec, self.basis):
-            if c:
-                out = out + e.scale(c)
-        return out
+        return ExtClass(self.g, ((m, c * ce) for c, e in zip(vec, self.basis)
+                                 if c for m, ce in e.terms.items()))
 
     # -- ring structure ----------------------------------------------------
 

@@ -27,12 +27,13 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import comb
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import DomainError, VerificationFailure
 from .extalg import parse_frac, parse_int, primitive_dim, render_frac
-from .qlinalg import QMatrix, reduce_by_rref, rref
+from .qlinalg import QMatrix, frac, reduce_by_rref, rref, sum_terms
 from .swpair import PairingQuotient, SphereParams
 
 ZERO = Fraction(0)
@@ -44,20 +45,17 @@ class BiPoly:
 
     Terms map (a, b) = (eta exponent, theta exponent) to a nonzero
     coefficient.  The cohomological degree of eta^a theta^b is 2a + 2b;
-    its weight is a + b.
+    its weight is a + b.  Summed in one pass (qlinalg.sum_terms) from a
+    mapping, every key of which is checked, or from ((a, b), c) pairs.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Dict[Tuple[int, int], Fraction]):
-        clean: Dict[Tuple[int, int], Fraction] = {}
-        for (a, b), c in terms.items():
+    def __init__(self, terms: Iterable = ()):
+        self.terms = sum_terms(terms)
+        for a, b in terms if isinstance(terms, Mapping) else self.terms:
             if a < 0 or b < 0:
                 raise DomainError(f"negative exponent in ({a},{b})")
-            c = Fraction(c)
-            if c:
-                clean[(a, b)] = c
-        self.terms = clean
 
     # -- constructors ------------------------------------------------------
 
@@ -79,30 +77,24 @@ class BiPoly:
 
     @staticmethod
     def monomial(a: int, b: int, coeff: Fraction = ONE) -> "BiPoly":
-        return BiPoly({(a, b): Fraction(coeff)})
+        return BiPoly({(a, b): coeff})
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "BiPoly") -> "BiPoly":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, ZERO) + c
-        return BiPoly(out)
+        return BiPoly(chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other: "BiPoly") -> "BiPoly":
         return self + other.scale(Fraction(-1))
 
     def scale(self, c: Fraction) -> "BiPoly":
-        c = Fraction(c)
+        c = frac(c)
         return BiPoly({k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other: "BiPoly") -> "BiPoly":
-        out: Dict[Tuple[int, int], Fraction] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                k = (a1 + a2, b1 + b2)
-                out[k] = out.get(k, ZERO) + c1 * c2
-        return BiPoly(out)
+        return BiPoly(((a1 + a2, b1 + b2), c1 * c2)
+                      for (a1, b1), c1 in self.terms.items()
+                      for (a2, b2), c2 in other.terms.items())
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, BiPoly) and self.terms == other.terms
@@ -162,12 +154,10 @@ def parse_bipoly(text: str) -> BiPoly:
     s = text.strip()
     if not s:
         raise DomainError("empty polynomial text")
-    if s == "0":
-        return BiPoly.zero()
     s = s.replace("-", "+-")
     if s.startswith("+-"):
         s = s[1:]
-    total = BiPoly.zero()
+    terms: List[Tuple[Tuple[int, int], Fraction]] = []
     for chunk in s.split("+"):
         chunk = chunk.strip()
         if not chunk:
@@ -199,8 +189,8 @@ def parse_bipoly(text: str) -> BiPoly:
             raise DomainError(f"empty term in {text!r}")
         if neg:
             coeff = -coeff
-        total = total + BiPoly.monomial(a, b, coeff)
-    return total
+        terms.append(((a, b), coeff))
+    return BiPoly(terms)
 
 
 # -- Betti numbers ---------------------------------------------------------

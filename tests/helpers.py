@@ -1,6 +1,6 @@
 """Helpers that only the tests need: dense matrix arithmetic, the Gram
 table computed without weights, the gamma-annihilated subspace from
-products, and splitting by degree or weight."""
+products, splitting by degree or weight, and sums folded term by term."""
 
 from functools import lru_cache
 
@@ -55,3 +55,21 @@ def homogeneous_components(z):
 def weight_component(p, m):
     """The terms eta^a theta^b of a BiPoly with a + b = m."""
     return BiPoly({ab: c for ab, c in p.terms.items() if sum(ab) == m})
+
+
+def fold_class(g, pairs):
+    """The repeated-+ fold of single-term classes: the reference for the
+    one-pass sum ExtClass(g, pairs)."""
+    out = ExtClass.zero(g)
+    for m, c in pairs:
+        out = out + ExtClass.monomial(g, m, c)
+    return out
+
+
+def fold_bipoly(pairs):
+    """The repeated-+ fold of single-term polynomials: the reference for
+    the one-pass sum BiPoly(pairs)."""
+    out = BiPoly.zero()
+    for (a, b), c in pairs:
+        out = out + BiPoly.monomial(a, b, c)
+    return out

@@ -238,6 +238,24 @@ def test_sp_nf_high_power_is_bounded(capsys):
     assert out == "0\n"
 
 
+@pytest.mark.parametrize("argv, var, want", [
+    (("floer-nf", "--g", "3", "--r", "1"), "x",
+     "1/3*g1*g4 + 1/3*g2*g5 + 1/3*g3*g6\n"),
+    (("sp-nf", "--g", "3", "--d", "1", "--k", "0"), "e", "1/3*t\n"),
+], ids=["floer-nf", "sp-nf"])
+def test_long_sum_parses_in_linear_time(capsys, argv, var, want):
+    # a sum is built in one pass, so 8,000 distinct terms (55 KB) parse in
+    # well under a second; a fold that rebuilt the partial sum at every
+    # term took over a minute.  Every power past the first reduces to
+    # zero, so both lengths give the normal form of the first term.
+    for n in (200, 8000):
+        expr = "+".join(f"{var}^{i}" for i in range(1, n + 1))
+        with deadline(10, f"{argv[0]} of a {n}-term sum"):
+            code, out, _ = run(capsys, *argv, "--expr", expr)
+        assert code == 0
+        assert out == want
+
+
 def test_genus_above_ceiling_is_bounded(capsys):
     # every command but adjunct rejects a genus above 6 before any work
     with deadline(10, "commands at a genus above the ceiling"):

@@ -352,7 +352,8 @@ def check_gram_structure(cases) -> List[str]:
     A monomial pairing is that value for the merged gamma set times a
     sign and (-n)^j/j! != 0, and weights add on merging, so classes of
     non-opposite weights pair to zero at every level, the level -1 filter
-    included.  The other claims then need only the block entries.  The
+    included.  The other claims then need only the block entries; the
+    fundamental pairing is the level -1 filter of the same class_pair.  The
     ring inverted every block when it was built.
     """
     fails = []
@@ -367,7 +368,6 @@ def check_gram_structure(cases) -> List[str]:
                                  f"gamma set {W} reaches the volume at "
                                  f"weight {mono_weight(g, m)}")
         ring = build_oracle(g, r)
-        sym = ring_oracle(g, ring.d)
         degs = ring.basis_degrees()
         cap = 2 * ring.d
         for i, j, v in ring.block_entries():
@@ -375,7 +375,8 @@ def check_gram_structure(cases) -> List[str]:
             if s > cap and v:
                 fails.append(f"({g},{r}): nonzero above top degree "
                              f"at ({i},{j})")
-            if s == cap and v != sym.pairing(ring.basis[i], ring.basis[j]):
+            if s == cap and v != class_pair(ring.params, ring.basis[i],
+                                            ring.basis[j], -1):
                 fails.append(f"({g},{r}): antidiagonal entry ({i},{j}) "
                              f"differs from the fundamental pairing")
     return fails

@@ -18,20 +18,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import DomainError, GenusMismatch, VerificationFailure
 from .extalg import (
     ExtClass,
     ExtMono,
+    _check_mono,
     embed_bipoly,
-    mono_weight,
     parse_factors,
     render_mono,
-    wedge,
 )
 from .floerring import build_oracle, tilde_relation
-from .qlinalg import QMatrix, block_kernel, frac, reduce_by_rref, rref
+from .qlinalg import QMatrix, frac, rref
 from .swpair import BasisLabel, SphereParams, class_pair, monos_of_degree
 
 ZERO = Fraction(0)
@@ -52,15 +51,10 @@ class SWTable:
     __slots__ = ("g", "r", "values")
 
     def __init__(self, g: int, r: int, values: Dict[ExtMono, Fraction]):
-        params = SphereParams(g, abs(r))
-        cap = 2 * params.d
+        cap = 2 * SphereParams(g, abs(r)).d
         clean: Dict[ExtMono, Fraction] = {}
         for m, v in values.items():
-            for i in m.gammas:
-                if not (1 <= i <= 2 * g):
-                    raise DomainError(
-                        f"monomial {render_mono(m)} has a gamma index "
-                        f"outside 1..{2*g}")
+            _check_mono(g, m)
             if m.degree > cap:
                 raise DomainError(
                     f"monomial {render_mono(m)} has degree {m.degree} "
@@ -175,11 +169,8 @@ def glue(g: int, r: int, t1: SWTable, t2: SWTable) -> Fraction:
                 f"{side} table is for (g, r) = ({t.g}, {t.r}), "
                 f"gluing asked for ({g}, {r})")
     ring = build_oracle(g, r)
-    left = [t1.evaluate(z) for z in ring.basis]
-    right = [t2.evaluate(z) for z in ring.basis]
-    return sum((v * left[i] * right[j]
-                for i, j, v in ring.block_entries(inverse=True)
-                if left[i] and right[j]), ZERO)
+    left, right = ([t.evaluate(z) for z in ring.basis] for t in (t1, t2))
+    return ring.pair_vectors(left, right, inverse=True)
 
 
 def cap_table(g: int, r: int, k: int) -> SWTable:
@@ -209,12 +200,9 @@ def h1_simple_glue(g: int, r: int, s1: Fraction, s2: Fraction) -> Fraction:
     x-power ladder: (-1)^(d/2) C(g-1, d/2) s1 s2 for d even, and zero
     for d odd (the ladder then has no middle rung).
     """
-    params = SphereParams(g, abs(r))
-    d = params.d
-    if d % 2:
-        return ZERO
-    return Fraction((-1) ** (d // 2) * comb(g - 1, d // 2)) \
-        * Fraction(s1) * Fraction(s2)
+    d = SphereParams(g, abs(r)).d
+    c = 0 if d % 2 else (-1) ** (d // 2) * comb(g - 1, d // 2)
+    return c * frac(s1) * frac(s2)
 
 
 def c_coefficient(g: int, r: int) -> Fraction:
@@ -243,30 +231,9 @@ def c_coefficient(g: int, r: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def kernel_K_basis(g: int, r: int) -> Tuple[Tuple[Fraction, ...], ...]:
-    """Basis of {phi : gamma_j . phi = 0 for all j}, in oracle coordinates.
-
-    The pairing is nondegenerate, so gamma_j . phi = 0 exactly when
-    pair(gamma_j ^ phi, e_l) = 0 for every basis element e_l; the rows
-    pair(gamma_j ^ e_i, e_l) thus have the row space, and the canonical
-    kernel, of the multiplication maps.  For e_i of weight w only the e_l
-    of weight -(w + wt gamma_j) pair nonzero (the gram-structure check
-    certifies this), so each weight is reduced alone, stopping at full rank.
-    """
-    ring = build_oracle(g, r)
-    blocks = []
-    for w, cols in ring.weight_groups.items():
-        rows = []
-        for j in range(1, 2 * g + 1):
-            wt = [-a - b for a, b in zip(w, mono_weight(g, ExtMono(0, (j,))))]
-            partners = ring.weight_groups.get(tuple(wt), ())
-            if partners and len(rows) < len(cols):
-                images = [wedge(ExtClass.gamma(g, j), ring.basis[i]) for i in cols]
-                rows.extend([ring.pairing(z, ring.basis[l]) for z in images]
-                            for l in partners)
-                rows = [v for v in rref(QMatrix(rows, len(cols)))[0].to_rows()
-                        if any(v)]
-        blocks.append((cols, rows))
-    return tuple(block_kernel(blocks, ring.dim)[0])
+    """Basis of {phi : gamma_j . phi = 0 for all j}, in oracle coordinates."""
+    return build_oracle(g, r).killed_by(
+        [ExtMono(0, (j,)) for j in range(1, 2 * g + 1)])
 
 
 def kernel_pairing_rank(g: int, r: int) -> int:
@@ -274,37 +241,30 @@ def kernel_pairing_rank(g: int, r: int) -> int:
     subspace; one for d even, zero for d odd."""
     ring = build_oracle(g, r)
     vecs = kernel_K_basis(g, r)
-    if not vecs:
-        return 0
-    elems = [ring.element_from_vector(v) for v in vecs]
-    m = QMatrix([[ring.pairing(u, v) for v in elems] for u in elems],
-                len(elems))
-    return rref(m)[2]
+    return rref(QMatrix([[ring.pair_vectors(u, v) for v in vecs]
+                         for u in vecs], len(vecs)))[2]
 
 
 # -- vanishing witnesses ---------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _vanishing_cycle_ideal(g: int, r: int) -> Tuple[QMatrix, Tuple[int, ...]]:
-    """RREF of the span of the ideal generated by gamma_1..gamma_d in
-    the oracle, in canonical coordinates."""
+def _cycle_equations(g: int, r: int) -> Tuple[Dict[int, Fraction], ...]:
+    """Sparse rows of pair(., phi) for phi in a basis of the subspace
+    {phi : gamma_j . phi = 0 for j <= d}."""
     ring = build_oracle(g, r)
-    rows: List[List[Fraction]] = []
-    for j in range(1, ring.d + 1):
-        gcls = ExtClass.monomial(g, ExtMono(0, (j,)))
-        for e in ring.basis:
-            v = ring.product_vector(gcls, e)
-            if any(v):
-                rows.append(list(v))
-    if not rows:
-        return QMatrix([], ring.dim), ()
-    reduced, pivots, _ = rref(QMatrix(rows, ring.dim))
-    return reduced, pivots
+    rows = (ring.gram_apply(phi) for phi in ring.killed_by(
+        [ExtMono(0, (j,)) for j in range(1, ring.d + 1)]))
+    return tuple({i: y for i, y in enumerate(row) if y} for row in rows)
 
 
-def _in_ideal(g: int, r: int, vec: Sequence[Fraction]) -> bool:
-    reduced, pivots = _vanishing_cycle_ideal(g, r)
-    return not any(reduce_by_rref(vec, reduced, pivots))
+def in_vanishing_cycle_ideal(g: int, r: int, vec: Sequence[Fraction]) -> bool:
+    """Whether a vector in oracle coordinates lies in the ideal generated by
+    gamma_1..gamma_d.  As pair(gamma_j e_i, phi) = +-pair(e_i, gamma_j phi)
+    and the pairing is nondegenerate, the ideal is the pairing-orthogonal of
+    {phi : gamma_j . phi = 0 for j <= d}."""
+    nonzero = [(i, x) for i, x in enumerate(vec) if x]
+    return not any(sum((row[i] * x for i, x in nonzero if i in row), ZERO)
+                   for row in _cycle_equations(g, r))
 
 
 def vanishing_witness(g: int, r: int, m: ExtMono) -> bool:
@@ -317,7 +277,7 @@ def vanishing_witness(g: int, r: int, m: ExtMono) -> bool:
     """
     ring = build_oracle(g, r)
     vec = ring.nf_vector(ExtClass.monomial(g, m))
-    if m.degree > ring.d and not _in_ideal(g, r, vec):
+    if m.degree > ring.d and not in_vanishing_cycle_ideal(g, r, vec):
         raise VerificationFailure(
             f"(g, r) = ({g}, {r}): monomial {render_mono(m)} of degree "
             f"{m.degree} > {ring.d} is outside the vanishing-cycle ideal")

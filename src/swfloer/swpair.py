@@ -47,7 +47,7 @@ from .extalg import (
     top_eval,
     wedge,
 )
-from .qlinalg import QMatrix, block_kernel, invert
+from .qlinalg import QMatrix, block_kernel, invert, rref
 
 ZERO = Fraction(0)
 
@@ -339,6 +339,20 @@ class PairingQuotient:
     def pairing(self, u: ExtClass, v: ExtClass) -> Fraction:
         return class_pair(self.params, u, v, self.n_filter)
 
+    def gram_apply(self, v: Sequence[Fraction],
+                   inverse: bool = False) -> List[Fraction]:
+        """The vector m v, m the Gram matrix (its inverse with inverse=True)."""
+        out = [ZERO] * self.dim
+        for i, j, m in self.block_entries(inverse):
+            if v[j]:
+                out[i] += m * v[j]
+        return out
+
+    def pair_vectors(self, u: Sequence[Fraction], v: Sequence[Fraction],
+                     inverse: bool = False) -> Fraction:
+        """The form sum u_i v_j m_ij on coordinate vectors."""
+        return sum(x * y for x, y in zip(u, self.gram_apply(v, inverse)))
+
     def block_entries(self, inverse: bool = False
                       ) -> Iterator[Tuple[int, int, Fraction]]:
         """Every entry (i, j, v) inside the (lambda, -lambda) weight blocks,
@@ -408,6 +422,30 @@ class PairingQuotient:
 
     def product(self, u: ExtClass, v: ExtClass) -> ExtClass:
         return self.nf_class(wedge(u, v))
+
+    def killed_by(self, factors: Sequence[ExtMono]
+                  ) -> Tuple[Tuple[Fraction, ...], ...]:
+        """Canonical basis of {phi : a . phi = 0 for every monomial a in
+        factors}.  The pairing is nondegenerate, so the rows pair(a ^ e_i, e_l)
+        have the row space, and the canonical kernel, of the multiplication
+        maps.  For e_i of weight w only the e_l of weight -(w + wt a) pair
+        nonzero (gram-structure certifies this), so each weight is reduced
+        alone, stopping at full rank."""
+        blocks = []
+        for w, cols in self.weight_groups.items():
+            rows = []
+            for a in factors:
+                partners = self.weight_groups.get(tuple(
+                    -x - y for x, y in zip(w, mono_weight(self.g, a))), ())
+                if partners and len(rows) < len(cols):
+                    images = [wedge(ExtClass.monomial(self.g, a), self.basis[i])
+                              for i in cols]
+                    rows.extend([self.pairing(z, self.basis[l]) for z in images]
+                                for l in partners)
+                    rows = [v for v in rref(QMatrix(rows, len(cols)))[0].to_rows()
+                            if any(v)]
+            blocks.append((cols, rows))
+        return tuple(block_kernel(blocks, self.dim)[0])
 
     # -- radical access ----------------------------------------------------
 

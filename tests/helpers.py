@@ -1,11 +1,12 @@
 """Helpers that only the tests need: dense matrix arithmetic, the Gram
-table computed without weights, the gamma-annihilated subspace from
-products, splitting by degree or weight, and sums folded term by term."""
+table computed without weights, the gamma-annihilated subspace and the
+vanishing-cycle ideal from products, splitting by degree or weight, and
+sums folded term by term."""
 
 from functools import lru_cache
 
 from swfloer.extalg import ExtClass
-from swfloer.qlinalg import QMatrix, block_kernel
+from swfloer.qlinalg import QMatrix, block_kernel, rref
 from swfloer.swpair import class_pair
 from swfloer.symprod import BiPoly
 
@@ -42,6 +43,20 @@ def product_row_kernel(ring):
             rows.extend(row for row in zip(*images) if any(row))
         blocks.append((cols, rows))
     return tuple(block_kernel(blocks, ring.dim)[0])
+
+
+def product_row_ideal(ring):
+    """RREF and pivots of the span of the ideal generated by
+    gamma_1..gamma_d, from the normal forms of the products gamma_j e_i:
+    the reference for glueadj.in_vanishing_cycle_ideal, which reads the
+    pairing-orthogonal of the annihilator."""
+    gammas = [ExtClass.gamma(ring.g, j) for j in range(1, ring.d + 1)]
+    products = (ring.product_vector(a, e) for a in gammas for e in ring.basis)
+    rows = [list(v) for v in products if any(v)]
+    if not rows:
+        return QMatrix([], ring.dim), ()
+    reduced, pivots, _ = rref(QMatrix(rows, ring.dim))
+    return reduced, pivots
 
 
 def homogeneous_components(z):

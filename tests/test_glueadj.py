@@ -7,7 +7,8 @@ from math import comb
 import pytest
 
 from swfloer.cli import SWEEP
-from swfloer.errors import DomainError, GenusMismatch
+from swfloer import glueadj
+from swfloer.errors import DomainError, GenusMismatch, VerificationFailure
 from swfloer.extalg import ExtClass, ExtMono, monomials_up_to, wedge
 from swfloer.floerring import build_oracle
 from swfloer.glueadj import (
@@ -19,6 +20,7 @@ from swfloer.glueadj import (
     cap_table,
     glue,
     h1_simple_glue,
+    in_vanishing_cycle_ideal,
     kernel_K_basis,
     kernel_pairing_rank,
     load_sw_table,
@@ -26,10 +28,10 @@ from swfloer.glueadj import (
     universal_matrix,
     vanishing_witness,
 )
-from swfloer.qlinalg import QMatrix, kernel_basis, rref
+from swfloer.qlinalg import QMatrix, kernel_basis, reduce_by_rref, rref
 from swfloer.swpair import monos_of_degree
 
-from helpers import dense_gram, product_row_kernel
+from helpers import dense_gram, product_row_ideal, product_row_kernel
 
 F = Fraction
 
@@ -57,6 +59,13 @@ def test_table_rejects_bad_monomials():
         SWTable(2, 1, {ExtMono(0, (5,)): F(1)})  # gamma index > 2g
     with pytest.raises(DomainError):
         SWTable(3, 1, {ExtMono(2, ()): F(1)})  # degree 4 > 2d = 2
+    # every key is checked as a monomial, zero-valued ones included
+    with pytest.raises(DomainError):
+        SWTable(3, 1, {ExtMono(0, (4, 1)): F(5)})  # unsorted: never matches
+    with pytest.raises(DomainError):
+        SWTable(3, 1, {ExtMono(0, (2, 2)): F(0)})  # repeated index
+    with pytest.raises(DomainError):
+        SWTable(3, 1, {ExtMono(-1, (1, 2, 3)): F(2)})  # negative x exponent
 
 
 def test_table_evaluate_is_linear():
@@ -323,6 +332,36 @@ def test_vanishing_ideal_check_runs_clean():
         for q in range(d + 1, 2 * d + 1):
             for m in monos_of_degree(g, q):
                 vanishing_witness(g, r, m)
+
+
+def test_ideal_membership_matches_product_rows():
+    # the pairing-orthogonal of the annihilator against the span of the
+    # products gamma_j e_i, on every basis vector and on the normal form of
+    # every monomial of degree <= 2d; both answers occur
+    answers = set()
+    for g, r in SWEEP:
+        ring = build_oracle(g, r)
+        reduced, pivots = product_row_ideal(ring)
+        units = [tuple(F(int(i == j)) for j in range(ring.dim))
+                 for i in range(ring.dim)]
+        nfs = {ring.nf_vector(ExtClass.monomial(g, m))
+               for m in monomials_up_to(g, 2 * ring.d)}
+        for vec in units + sorted(nfs):
+            want = not any(reduce_by_rref(vec, reduced, pivots))
+            assert in_vanishing_cycle_ideal(g, r, vec) == want, (g, r, vec)
+            answers.add(want)
+        assert len(glueadj._cycle_equations(g, r)) == ring.dim - len(pivots)
+    assert answers == {True, False}
+
+
+def test_vanishing_witness_raises_outside_the_ideal(monkeypatch):
+    # with every coordinate as an equation the ideal is zero, so a nonzero
+    # monomial above degree d is reported outside it
+    ring = build_oracle(3, 1)
+    monkeypatch.setattr(glueadj, "_cycle_equations", lambda g, r: tuple(
+        {i: F(1)} for i in range(ring.dim)))
+    with pytest.raises(VerificationFailure):
+        vanishing_witness(3, 1, ExtMono(1, ()))
 
 
 def test_vanishing_nonzero_but_in_ideal():

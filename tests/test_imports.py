@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and the
-quotient route's modules import nothing from the presentation route.
+"""Every name a package module imports is used in that module, the
+quotient route's modules import nothing from the presentation route, and
+only swpair reads the weight-block layout of a PairingQuotient.
 
 The package __init__ only re-exports, and ``from __future__`` imports
 are directives, so both are exempt.  A name counts as used when it
@@ -81,3 +82,24 @@ def test_scan_finds_package_imports():
 def test_quotient_route_imports_no_presentation_module(name):
     source = (PACKAGE / f"{name}.py").read_text(encoding="utf-8")
     assert package_imports(source) & UPPER == set()
+
+
+# Only swpair knows how the basis splits into torus-weight blocks; every
+# other module asks PairingQuotient questions in basis coordinates.
+BLOCK_LAYOUT = {"weight_groups", "_weight_blocks"}
+
+
+def block_layout_reads(source: str):
+    return sorted((n.lineno, n.attr) for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Attribute) and n.attr in BLOCK_LAYOUT)
+
+
+def test_scan_finds_a_block_layout_read():
+    assert block_layout_reads("cols = ring.weight_groups[w]\nx = ring.dim\n") \
+        == [(1, "weight_groups")]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "swpair.py"],
+                         ids=lambda p: p.name)
+def test_only_swpair_reads_the_block_layout(path):
+    assert block_layout_reads(path.read_text(encoding="utf-8")) == []

@@ -1,5 +1,6 @@
 """Tests for the sphere invariants, the pairing, and the quotient engine."""
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -437,6 +438,25 @@ def test_gram_equals_dense_table():
     for g, r in DIMS_BY_DEGREE:
         for Q in (quotient(g, r), ring_oracle(g, g - 1 - r)):
             assert Q.gram == dense_gram(Q), (g, r, Q.n_filter)
+
+
+def test_pair_vectors_is_class_pair_of_the_classes():
+    rng = random.Random(14)
+
+    def sparse_vector(n):
+        return [F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.4
+                else F(0) for _ in range(n)]
+
+    for g, r in [(3, 1), (4, 1), (5, 2)]:
+        Q = quotient(g, r)
+        inv = Q.inverse_gram()
+        for _ in range(10):
+            u, v = sparse_vector(Q.dim), sparse_vector(Q.dim)
+            assert Q.pair_vectors(u, v) == class_pair(
+                Q.params, Q.element_from_vector(u), Q.element_from_vector(v))
+            assert Q.pair_vectors(u, v, inverse=True) == sum(
+                u[i] * inv[i, j] * v[j] for i in range(Q.dim)
+                for j in range(Q.dim))
 
 
 def test_quotient_gram_invertible():

@@ -344,17 +344,20 @@ def check_recursion_consistency(cases) -> List[str]:
 
 
 def check_gram_structure(cases) -> List[str]:
-    """Zero off the (lambda, -lambda) weight blocks, anti-triangular by
-    degree, the fundamental pairing on the antidiagonal, invertible.
+    """Zero off the (lambda, -lambda) weight blocks, each block entry the
+    pairing itself, anti-triangular by degree, the fundamental pairing on
+    the antidiagonal, invertible.
 
     The first claim is certified on gamma sets, for all classes: a gamma
     set W with top_eval(g_W ^ theta^(g-|W|/2)) != 0 must have weight 0.
     A monomial pairing is that value for the merged gamma set times a
     sign and (-n)^j/j! != 0, and weights add on merging, so classes of
     non-opposite weights pair to zero at every level, the level -1 filter
-    included.  The other claims then need only the block entries; the
-    fundamental pairing is the level -1 filter of the same class_pair.  The
-    ring inverted every block when it was built.
+    included.  The other claims then need only the block entries.  The
+    ring computed them from the primitive factorisation of the basis, so
+    each is compared with class_pair of the two basis elements, the
+    definition; the fundamental pairing is the level -1 filter of the
+    same class_pair.  The ring inverted every block when it was built.
     """
     fails = []
     for g, r in cases:
@@ -371,6 +374,9 @@ def check_gram_structure(cases) -> List[str]:
         degs = ring.basis_degrees()
         cap = 2 * ring.d
         for i, j, v in ring.block_entries():
+            if v != ring.pairing(ring.basis[i], ring.basis[j]):
+                fails.append(f"({g},{r}): block entry ({i},{j}) differs "
+                             f"from the pairing of the basis elements")
             s = degs[i] + degs[j]
             if s > cap and v:
                 fails.append(f"({g},{r}): nonzero above top degree "

@@ -347,21 +347,39 @@ _FACTOR_RE = re.compile(r"^(1|x(\^\d+)?|t(\^\d+)?|g\d+)$")
 _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
+def _decimal(n: int) -> str:
+    """str(n) past int's limit on the digits it converts (4,300 by
+    default): a long numeral is converted in two halves."""
+    if n.bit_length() <= 2000:  # about 600 digits, under any allowed limit
+        return str(n)
+    if n < 0:
+        return "-" + _decimal(-n)
+    half = n.bit_length() * 3 // 20  # about half of its digits
+    high, low = divmod(n, 10 ** half)
+    return _decimal(high) + _decimal(low).zfill(half)
+
+
 def render_frac(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    num = _decimal(q.numerator)
+    return num if q.denominator == 1 else f"{num}/{_decimal(q.denominator)}"
 
 
 def parse_frac(text: str) -> Fraction:
-    """Inverse of render_frac; a malformed rational or a zero denominator
-    is a DomainError.
+    """Inverse of render_frac.  Anything outside the grammar
+    [+-]?digits(/digits)? (an exponent, a decimal point, an underscore),
+    a zero denominator or a numeral too long for int() (over 4,300
+    digits by default) is a DomainError.
 
     >>> parse_frac("-3/6")
     Fraction(-1, 2)
     """
     try:
-        return Fraction(text)
+        if _RAT_RE.fullmatch(text):
+            return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise DomainError(f"bad rational {text!r}") from None
+        pass
+    shown = text if len(text) <= 40 else f"{text[:20]}... ({len(text)} characters)"
+    raise DomainError(f"bad rational {shown!r}")
 
 
 def parse_int(text: str) -> int:

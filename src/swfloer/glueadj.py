@@ -27,6 +27,7 @@ from .extalg import (
     _check_mono,
     embed_bipoly,
     parse_factors,
+    parse_frac,
     render_mono,
 )
 from .floerring import build_oracle, tilde_relation
@@ -87,10 +88,10 @@ def parse_sw_table(text: str) -> SWTable:
 
     First meaningful line: ``genus <g> r <r>``.  Every further line is
     ``<monomial> <rational>`` in the monomial grammar of extalg, with
-    the rational as the last whitespace-separated token.  Blank lines
-    and ``#`` comments are skipped.  Each key must be a plain monomial
-    (no ``t`` factors, which expand to sums; they are rejected before
-    any expansion) and may appear only once.
+    the rational (extalg.parse_frac) as the last whitespace-separated
+    token.  Blank lines and ``#`` comments are skipped.  Each key must
+    be a plain monomial (no ``t`` factors, which expand to sums; they
+    are rejected before any expansion) and may appear only once.
     """
     header: Optional[Tuple[int, int]] = None
     entries: Dict[ExtMono, Fraction] = {}
@@ -123,9 +124,9 @@ def parse_sw_table(text: str) -> SWTable:
             raise DomainError(
                 f"line {lineno}: duplicate monomial {render_mono(m)}")
         try:
-            entries[m] = Fraction(value_text)
-        except (ValueError, ZeroDivisionError):
-            raise DomainError(f"line {lineno}: bad rational {value_text!r}")
+            entries[m] = parse_frac(value_text)
+        except DomainError as e:
+            raise DomainError(f"line {lineno}: {e}") from None
     if header is None:
         raise DomainError("empty table: missing 'genus <g> r <r>' header")
     return SWTable(header[0], header[1], entries)

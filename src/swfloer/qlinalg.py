@@ -165,6 +165,15 @@ def rref(m: QMatrix) -> Tuple[QMatrix, Tuple[int, ...], int]:
     return QMatrix(rows, m.ncols), tuple(pivots), len(pivots)
 
 
+def rank(rows: Sequence[Sequence], ncols: int) -> int:
+    """Rank of the matrix with these rows, eliminated in column order.
+
+    >>> rank([[0, 1, 2], [0, 2, 4]], 3)
+    1
+    """
+    return len(_rref_rows([[frac(v) for v in r] for r in rows], ncols)[1])
+
+
 def kernel_basis(m: QMatrix) -> List[Tuple[Fraction, ...]]:
     """Canonical basis of the right kernel {v : m v = 0}; see
     block_kernel for the convention."""

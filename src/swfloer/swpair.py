@@ -19,12 +19,20 @@ inserted, (g-k)!/(g-k-b)! (-n)^(g-k-b).
 ``class_pair`` sums sw_sphere over all levels; on a wedge of two
 homogeneous classes at most one level can contribute, so the sum is
 finite and exact.
-The radical of this pairing on monomials of degree <= 2d (d = g-1-|r|) is
-computed once, by ``_radical``, one torus weight at a time: homogeneous
-pieces degree by degree, then the mixed-degree corrections.  ``annihilator``
-and the PairingQuotient engine at the bottom of this file both read it;
-the quotient by the radical is the Floer ring, consumed by the floerring
-and symprod modules.
+
+The PairingQuotient engine at the bottom of this file is the quotient of
+the monomials of degree <= 2d (d = g-1-|r|) by the radical of this
+pairing: the Floer ring, consumed by the floerring and symprod modules.
+It never computes the radical.  mono_pair vanishes unless the two torus
+weights are opposite, so the radical splits by weight, and the build
+certifies its canonical basis one weight at a time: the rank of the
+pairing between the monomials of weight lambda and those of weight
+-lambda must equal the number of basis elements of weight lambda
+(``weight_ranks``).  Its Gram blocks come from the primitive
+factorisation of the basis (``PairingQuotient.label_pair``).  The
+radical itself, homogeneous pieces degree by degree and then the
+mixed-degree corrections, is ``_radical``, computed only when asked for
+(``annihilator`` and the quotient's ``radical_*`` methods).
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ from .extalg import (
     top_eval,
     wedge,
 )
-from .qlinalg import QMatrix, block_kernel, invert, rref
+from .qlinalg import QMatrix, block_kernel, invert, rank, rref
 
 ZERO = Fraction(0)
 
@@ -234,6 +242,40 @@ def annihilator(params: SphereParams, maxdeg: Optional[int] = None) -> List[ExtC
     return _radical_classes(params, None, cap)
 
 
+def weight_ranks(params: SphereParams, n_filter: Optional[int] = None
+                 ) -> Dict[Tuple[int, ...], int]:
+    """For each torus weight lambda of a monomial of degree <= 2d, the
+    rank of the pairing between the monomials of weight lambda and those
+    of weight -lambda.  The radical splits by weight, so this is the
+    dimension of the weight-lambda part of the quotient by the radical.
+
+    Columns and rows are taken by degree, highest first; with columns in
+    increasing order the elimination fills in and takes several times
+    longer.
+    """
+    params = SphereParams(params.g, abs(params.r))
+    g = params.g
+    by_weight: Dict[Tuple[int, ...], List[ExtMono]] = {}
+    for m in monomials_up_to(g, 2 * params.d):
+        by_weight.setdefault(mono_weight(g, m), []).append(m)
+    ranks = {}
+    for w, monos in by_weight.items():
+        cols = sorted(monos, key=lambda m: -m.degree)
+        rows = ([mono_pair(params, c, m2, n_filter) for c in cols]
+                for m2 in sorted(by_weight[tuple(-x for x in w)],
+                                 key=lambda m: -m.degree))
+        ranks[w] = rank([row for row in rows if any(row)], len(cols))
+    return ranks
+
+
+@lru_cache(maxsize=None)
+def primitive_pair(g: int, k: int, w: int, w2: int) -> Fraction:
+    """P_k(w, w') = top_eval(w ^ w' ^ theta^(g-k)) for the primitive basis
+    elements w, w' of degree k."""
+    pb = primitive_basis(g, k)
+    return top_eval(wedge(wedge(pb[w], pb[w2]), theta_power(g, g - k)))
+
+
 class BasisLabel(NamedTuple):
     """Canonical basis element w_k[w] ^ x^a theta^b with 2a + b <= d - k."""
     k: int
@@ -270,18 +312,22 @@ class PairingQuotient:
     Two pairings are used: the full level sum (the Floer ring of
     Sigma x S^1) and its restriction to level n = -1 (the cohomology ring
     of the symmetric product s^d Sigma).  Everything else is shared: the
-    canonical primitive-prefactor basis, the radical, Gram blocks, and
-    normal forms.
+    canonical primitive-prefactor basis, the Gram blocks, and normal
+    forms.
 
     The radical is not always a graded subspace (level coupling between
     degrees q and q - 2|r| produces mixed-degree elements, first at
     g=5, r=1), so the quotient is graded only mod 2|r|.  The homogeneous
-    canonical basis still represents a basis: construction certifies the
-    complement property by a global dimension count (homogeneous radical
-    pieces plus mixed corrections plus basis size equals the monomial
-    count) together with invertibility of the Gram blocks between
-    opposite torus weights lambda and -lambda (see extalg.mono_weight),
-    which gives independence mod the radical.  Violation raises.
+    canonical basis still represents a basis, and construction
+    certifies it weight by weight without computing the radical.  For
+    every torus weight lambda (see extalg.mono_weight), the number of
+    basis elements of weight lambda must equal the rank of the pairing
+    between the monomials of weights lambda and -lambda (weight_ranks),
+    the dimension of the weight-lambda part of the quotient; and the
+    Gram block between the basis elements of weights lambda and -lambda
+    must be invertible, which gives independence mod the radical.
+    Violation raises.  The radical is computed on first use by the
+    radical_* methods.
     """
 
     def __init__(self, params: SphereParams, n_filter: Optional[int] = None):
@@ -296,30 +342,29 @@ class PairingQuotient:
 
         self.labels = canonical_labels(self.g, self.d)
         self.basis = [label_element(self.g, L) for L in self.labels]
-
-        self._pieces, self._mixed_vectors = _radical(params, n_filter, cap)
-        radical_dim = sum(map(len, self._pieces)) + len(self._mixed_vectors)
-        dims = self.dims_by_degree()
-        for q in range(cap + 1):
-            if dims[q] != dims[cap - q]:
-                raise VerificationFailure(
-                    f"basis counts not symmetric between degrees {q} and {cap - q}")
-        if len(self.basis) + radical_dim != len(self.monos):
-            raise VerificationFailure(
-                f"{len(self.basis)} basis elements + {radical_dim} radical "
-                f"dimensions != {len(self.monos)} monomials at "
-                f"(g,r)=({self.g},{params.r})")
-
         self.dim = len(self.basis)
         # torus weight -> indices of the basis elements of that weight
         self.weight_groups: Dict[Tuple[int, ...], List[int]] = {}
+        self._weight_of: List[Tuple[int, ...]] = []
         for i, e in enumerate(self.basis):
             weights = {mono_weight(self.g, m) for m in e.terms}
             if len(weights) != 1:
                 raise VerificationFailure(
                     f"basis element {i} is not weight-homogeneous at "
                     f"(g,r)=({self.g},{params.r})")
-            self.weight_groups.setdefault(weights.pop(), []).append(i)
+            self._weight_of.append(weights.pop())
+            self.weight_groups.setdefault(self._weight_of[-1], []).append(i)
+        for w, n in weight_ranks(params, n_filter).items():
+            have = len(self.weight_groups.get(w, ()))
+            if have != n:
+                raise VerificationFailure(
+                    f"weight {w}: {have} basis elements against a pairing "
+                    f"of rank {n} at (g,r)=({self.g},{params.r})")
+        dims = self.dims_by_degree()
+        for q in range(cap + 1):
+            if dims[q] != dims[cap - q]:
+                raise VerificationFailure(
+                    f"basis counts not symmetric between degrees {q} and {cap - q}")
         # pair and invert every weight block; SingularMatrix here means the
         # claimed basis is not a complement, which no valid input should cause
         self._weight_blocks: Dict[Tuple[int, ...], Tuple[
@@ -330,7 +375,7 @@ class PairingQuotient:
                 raise VerificationFailure(
                     f"{len(cols)} basis elements of weight {w} against "
                     f"{len(rows)} of the opposite weight")
-            block = QMatrix([[self.pairing(self.basis[i], self.basis[l])
+            block = QMatrix([[self.label_pair(self.labels[i], self.labels[l])
                               for i in cols] for l in rows], ncols=len(cols))
             self._weight_blocks[w] = (cols, rows, block, invert(block))
 
@@ -339,11 +384,33 @@ class PairingQuotient:
     def pairing(self, u: ExtClass, v: ExtClass) -> Fraction:
         return class_pair(self.params, u, v, self.n_filter)
 
+    def label_pair(self, L1: BasisLabel, L2: BasisLabel) -> Fraction:
+        """The pairing of two basis elements, from their labels.
+
+        With e = w x^a theta^b (w primitive of degree k) and x, theta
+        even, the pair is that of w w' x^A theta^B, A = a + a' and
+        B = b + b', at the one level n that fits degree 2(k + A + B).
+        top_eval(w w' theta^m) vanishes unless k = k' and m = g - k (the
+        Lefschetz decomposition), which leaves
+        P_k(w, w') (-n)^(g-k-B) / (g-k-B)!.
+        """
+        j = self.g - L1.k - L1.b - L2.b
+        n = contributing_level(self.params, L1.degree + L2.degree)
+        if L1.k != L2.k or j < 0 or n is None or \
+                (self.n_filter is not None and n != self.n_filter):
+            return ZERO
+        return primitive_pair(self.g, L1.k, L1.w, L2.w) * \
+            Fraction((-n) ** j, factorial(j))
+
     def gram_apply(self, v: Sequence[Fraction],
                    inverse: bool = False) -> List[Fraction]:
-        """The vector m v, m the Gram matrix (its inverse with inverse=True)."""
+        """The vector m v, m the Gram matrix (its inverse with inverse=True),
+        read from the weight blocks whose columns meet a nonzero of v."""
+        keys = {self._weight_of[j] for j, x in enumerate(v) if x}
+        if not inverse:  # column j of a Gram block has the opposite weight
+            keys = {tuple(-x for x in w) for w in keys}
         out = [ZERO] * self.dim
-        for i, j, m in self.block_entries(inverse):
+        for i, j, m in self._entries(keys, inverse):
             if v[j]:
                 out[i] += m * v[j]
         return out
@@ -360,7 +427,13 @@ class PairingQuotient:
         (i, j) of the inverse Gram matrix.  Both matrices are zero at every
         other (i, j); the gram-structure check certifies this for every
         class."""
-        for cols, rows, block, inv in self._weight_blocks.values():
+        return self._entries(self._weight_blocks, inverse)
+
+    def _entries(self, keys, inverse: bool
+                 ) -> Iterator[Tuple[int, int, Fraction]]:
+        """block_entries of the weight blocks with these keys."""
+        for key in keys:
+            cols, rows, block, inv = self._weight_blocks[key]
             left, right, m = ((rows, cols, inv) if inverse
                               else (cols, rows, block))
             for a, i in enumerate(left):
@@ -450,14 +523,15 @@ class PairingQuotient:
     # -- radical access ----------------------------------------------------
 
     def radical_vectors(self, q: int) -> List[Tuple[Fraction, ...]]:
-        return list(self._pieces[q]) if 0 <= q < len(self._pieces) else []
+        pieces = _radical(self.params, self.n_filter, 2 * self.d)[0]
+        return list(pieces[q]) if 0 <= q < len(pieces) else []
 
     def radical_elements(self) -> List[ExtClass]:
         """Homogeneous radical pieces by degree, then mixed corrections."""
         return _radical_classes(self.params, self.n_filter, 2 * self.d)
 
     def mixed_radical_elements(self) -> List[ExtClass]:
-        return list(self._mixed_vectors)
+        return list(_radical(self.params, self.n_filter, 2 * self.d)[1])
 
     def basis_degrees(self) -> List[int]:
         return [L.degree for L in self.labels]

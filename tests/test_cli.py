@@ -295,6 +295,57 @@ def test_glue_table_with_theta_key_is_bounded(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", ["1e99999999", "1e999999", "2.5", "1_000",
+                                   "0x10", "3/0", "1/-2", "1" * 5000])
+def test_glue_table_value_outside_the_rational_grammar(value, tmp_path,
+                                                       capsys):
+    # Fraction() alone reads exponents, decimals and underscores: the
+    # 12-byte 1e99999999 ran past 20 s, and 1e999999 died rendering
+    t1 = tmp_path / "t1.swt"
+    t1.write_text(f"genus 2 r 1\n1 {value}\n", encoding="utf-8")
+    t2 = tmp_path / "t2.swt"
+    t2.write_text("genus 2 r 1\n1 3/2\n", encoding="utf-8")
+    with deadline(10, f"a table holding {value[:12]}"):
+        code, out, err = run(capsys, "glue", "--g", "2", "--r", "1",
+                             "--t1", str(t1), "--t2", str(t2))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("DomainError: line 2: bad rational")
+    assert err.count("\n") == 1
+
+
+def test_glue_answer_longer_than_the_int_string_limit(tmp_path, capsys):
+    # each table holds 10^3000; at (2, 1) the Gram matrix is (1), so the
+    # answer 10^6000 has more digits than str(int) converts by default
+    for name in ("t1.swt", "t2.swt"):
+        (tmp_path / name).write_text("genus 2 r 1\n1 1" + "0" * 3000 + "\n",
+                                     encoding="utf-8")
+    code, out, err = run(capsys, "glue", "--g", "2", "--r", "1",
+                         "--t1", str(tmp_path / "t1.swt"),
+                         "--t2", str(tmp_path / "t2.swt"))
+    assert (code, err) == (0, "")
+    assert out == "1" + "0" * 6000 + "\n"
+
+
+def test_gram_structure_compares_every_block_entry_with_the_pairing(
+        monkeypatch, capsys):
+    # the ring's blocks come from the primitive factorisation; one wrong
+    # entry below the antidiagonal must fail against class_pair
+    ring = build_oracle(3, 1)
+    degs = ring.basis_degrees()
+    entries = list(ring.block_entries())
+    k = next(n for n, (i, j, _) in enumerate(entries)
+             if degs[i] + degs[j] < 2 * ring.d)
+    i, j, v = entries[k]
+    entries[k] = (i, j, v + 1)
+    monkeypatch.setattr(ring, "block_entries",
+                        lambda inverse=False: iter(entries))
+    code, out, _ = run(capsys, "verify", "--g", "3", "--r", "1")
+    assert code == 1
+    assert (f"FAIL gram-structure: (3,1): block entry ({i},{j}) differs "
+            f"from the pairing of the basis elements\n") in out
+
+
 def test_adjunct_torsion_rejected(capsys):
     code, _, err = run(capsys, "adjunct", "--g", "3", "--sigma2", "0",
                        "--c1dot", "0")

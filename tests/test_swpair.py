@@ -20,6 +20,7 @@ from swfloer.extalg import (
     wedge,
 )
 from swfloer.qlinalg import QMatrix, invert, kernel_basis
+from swfloer import swpair
 from swfloer.swpair import (
     PairingQuotient,
     SphereParams,
@@ -29,6 +30,7 @@ from swfloer.swpair import (
     mono_pair,
     monos_of_degree,
     sw_sphere,
+    weight_ranks,
 )
 from swfloer.symprod import ring_oracle
 
@@ -320,6 +322,34 @@ def test_no_mixed_corrections_below_genus_five():
         assert quotient(g, r).mixed_radical_elements() == []
 
 
+# -- the build certificate -------------------------------------------------
+
+@pytest.mark.parametrize("n_filter", [None, -1])
+@pytest.mark.parametrize("g, r", [(g, r) for g in range(2, 6)
+                                  for r in range(1, g)])
+def test_weight_ranks_sum_to_the_radical_codimension(g, r, n_filter):
+    # the per-weight ranks the build certifies against the old global
+    # count: len(monos) - radical_dim, read from the lazily built radical
+    Q = quotient(g, r) if n_filter is None else ring_oracle(g, g - 1 - r)
+    ranks = weight_ranks(Q.params, n_filter)
+    radical_dim = sum(len(Q.radical_vectors(q)) for q in range(2 * Q.d + 1)) \
+        + len(Q.mixed_radical_elements())
+    assert sum(ranks.values()) == len(Q.monos) - radical_dim == Q.dim
+    assert sorted(ranks) == sorted({mono_weight(g, m) for m in Q.monos})
+
+
+def test_dropping_a_basis_element_fails_the_rank_certificate(monkeypatch):
+    labels = swpair.canonical_labels(3, 1)
+    dropped = swpair.label_element(3, labels[1])
+    (weight,) = {mono_weight(3, m) for m in dropped.terms}
+    monkeypatch.setattr(swpair, "canonical_labels",
+                        lambda g, d: labels[:1] + labels[2:])
+    with pytest.raises(VerificationFailure) as err:
+        PairingQuotient(SphereParams(3, 1))
+    assert str(err.value) == (f"weight {weight}: 0 basis elements against a "
+                              f"pairing of rank 1 at (g,r)=(3,1)")
+
+
 # -- quotient engine -------------------------------------------------------
 
 DIMS_BY_DEGREE = {
@@ -457,6 +487,23 @@ def test_pair_vectors_is_class_pair_of_the_classes():
             assert Q.pair_vectors(u, v, inverse=True) == sum(
                 u[i] * inv[i, j] * v[j] for i in range(Q.dim)
                 for j in range(Q.dim))
+
+
+def test_gram_apply_equals_the_dense_product_on_sparse_vectors():
+    # gram_apply reads only the blocks that meet a nonzero of v; the
+    # dense table is computed without weights, and G (G^-1 v) = v checks
+    # the inverse without inverting the table
+    rng = random.Random(17)
+    for g, r in DIMS_BY_DEGREE:
+        Q = quotient(g, r)
+        G = dense_gram(Q)
+        for _ in range(6):
+            v = [F(0)] * Q.dim
+            for j in rng.sample(range(Q.dim), min(Q.dim, rng.randint(1, 3))):
+                v[j] = F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+            assert Q.gram_apply(v) == list(G.apply(v)), (g, r)
+            assert G.apply(Q.gram_apply(v, inverse=True)) == tuple(v), (g, r)
+        assert Q.gram_apply([F(0)] * Q.dim) == [F(0)] * Q.dim
 
 
 def test_quotient_gram_invertible():

@@ -345,6 +345,7 @@ def embed_bipoly(g: int, poly) -> ExtClass:
 
 _FACTOR_RE = re.compile(r"^(1|x(\^\d+)?|t(\^\d+)?|g\d+)$")
 _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_INT_RE = re.compile(r"[+-]?\d+")
 
 
 def _decimal(n: int) -> str:
@@ -383,8 +384,11 @@ def parse_frac(text: str) -> Fraction:
 
 
 def parse_int(text: str) -> int:
-    """A matched numeral; one too long for int() (over 4,300 digits by
+    """A numeral [+-]?digits.  Anything else (an underscore, a decimal
+    point, spaces) or a numeral too long for int() (over 4,300 digits by
     default) is a DomainError, like any other malformed input."""
+    if not _INT_RE.fullmatch(text):
+        raise DomainError(f"bad integer {text!r}")
     try:
         return int(text)
     except ValueError:

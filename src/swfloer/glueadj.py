@@ -28,10 +28,11 @@ from .extalg import (
     embed_bipoly,
     parse_factors,
     parse_frac,
+    parse_int,
     render_mono,
 )
 from .floerring import build_oracle, tilde_relation
-from .qlinalg import QMatrix, frac, rref
+from .qlinalg import QMatrix, frac, rank
 from .swpair import BasisLabel, SphereParams, class_pair, monos_of_degree
 
 ZERO = Fraction(0)
@@ -105,10 +106,11 @@ def parse_sw_table(text: str) -> SWTable:
                 raise DomainError(
                     f"line {lineno}: expected 'genus <g> r <r>', got {line!r}")
             try:
-                header = (int(tokens[1]), int(tokens[3]))
-            except ValueError:
+                header = (parse_int(tokens[1]), parse_int(tokens[3]))
+            except DomainError:
                 raise DomainError(
-                    f"line {lineno}: non-integer genus or twist in {line!r}")
+                    f"line {lineno}: non-integer genus or twist in {line!r}"
+                ) from None
             continue
         parts = line.rsplit(None, 1)
         if len(parts) != 2:
@@ -242,8 +244,8 @@ def kernel_pairing_rank(g: int, r: int) -> int:
     subspace; one for d even, zero for d odd."""
     ring = build_oracle(g, r)
     vecs = kernel_K_basis(g, r)
-    return rref(QMatrix([[ring.pair_vectors(u, v) for v in vecs]
-                         for u in vecs], len(vecs)))[2]
+    return rank([[ring.pair_vectors(u, v) for v in vecs] for u in vecs],
+                len(vecs))
 
 
 # -- vanishing witnesses ---------------------------------------------------

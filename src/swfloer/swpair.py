@@ -32,7 +32,8 @@ pairing between the monomials of weight lambda and those of weight
 factorisation of the basis (``PairingQuotient.label_pair``).  The
 radical itself, homogeneous pieces degree by degree and then the
 mixed-degree corrections, is ``_radical``, computed only when asked for
-(``annihilator`` and the quotient's ``radical_*`` methods).
+by the quotient's ``radical_*`` methods.  Both it and ``weight_ranks``
+read the weight blocks of the monomial pairing from ``_pair_blocks``.
 """
 
 from __future__ import annotations
@@ -161,10 +162,34 @@ def monos_of_degree(g: int, q: int) -> Tuple[ExtMono, ...]:
     return tuple(m for m in monomials_up_to(g, q) if m.degree == q)
 
 
+def _pair_blocks(params: SphereParams, n_filter: Optional[int],
+                 cols: Sequence[ExtMono], rows: Sequence[ExtMono]
+                 ) -> Iterator[Tuple[Tuple[int, ...], List[int], List[List[Fraction]]]]:
+    """The mono_pair matrix between cols and rows, weight block by weight
+    block: for each weight lambda of a column, in order of first
+    appearance, (lambda, the indices of the columns of weight lambda, the
+    nonzero rows m of weight -lambda as [mono_pair(c, m) for c in those
+    columns]), rows in their given order.  mono_pair vanishes unless the
+    two torus weights are opposite, so these blocks hold every nonzero
+    entry; a row with no contributing level is zero and is dropped."""
+    g = params.g
+    rows_of: Dict[Tuple[int, ...], List[ExtMono]] = {}
+    for m in rows:
+        rows_of.setdefault(mono_weight(g, m), []).append(m)
+    groups: Dict[Tuple[int, ...], List[int]] = {}
+    for j, m in enumerate(cols):
+        groups.setdefault(mono_weight(g, m), []).append(j)
+    for w, idx in groups.items():
+        block = ([mono_pair(params, cols[j], m, n_filter) for j in idx]
+                 for m in rows_of.get(tuple(-x for x in w), ()))
+        yield w, idx, [row for row in block if any(row)]
+
+
 @lru_cache(maxsize=None)
-def _radical(params: SphereParams, n_filter: Optional[int], col_cap: int):
-    """The radical of the pairing within degrees <= col_cap: the z with
-    pair(z, m) = 0 for every monomial m of degree <= 2d.
+def _radical(params: SphereParams, n_filter: Optional[int]):
+    """The radical of the pairing: the z of degree <= 2d with
+    pair(z, m) = 0 for every monomial m of degree <= 2d.  params has
+    r > 0 (PairingQuotient folds the sign).
 
     Returns (pieces, mixed).  pieces[q] is the homogeneous piece of
     degree q, the canonical kernel basis over monos_of_degree(g, q); its
@@ -177,69 +202,26 @@ def _radical(params: SphereParams, n_filter: Optional[int], col_cap: int):
     testing it against the pivot monomials suffices, since a piece pairs
     to zero with every monomial of degree <= 2d.  They are listed by the
     residue mod 2|r| of their top degree, then by their free (highest)
-    pivot monomial.
-
-    Every kernel is taken weight block by weight block: mono_pair
-    vanishes unless the two torus weights are opposite, so a column of
-    weight lambda meets only rows of weight -lambda.  Rows with no
-    contributing level are zero, which the elimination ignores.
+    pivot monomial.  Every kernel is taken over the weight blocks of
+    _pair_blocks.
     """
-    params = SphereParams(params.g, abs(params.r))
     g, cap = params.g, 2 * params.d
 
     def kernel(cols: Sequence[ExtMono], rows: Sequence[ExtMono]):
-        rows_of: Dict[Tuple[int, ...], List[ExtMono]] = {}
-        for m in rows:
-            rows_of.setdefault(mono_weight(g, m), []).append(m)
-        groups: Dict[Tuple[int, ...], List[int]] = {}
-        for j, m in enumerate(cols):
-            groups.setdefault(tuple(-x for x in mono_weight(g, m)), []).append(j)
-        return block_kernel(
-            [(idx, [[mono_pair(params, cols[j], m2, n_filter) for j in idx]
-                    for m2 in rows_of.get(w, ())])
-             for w, idx in groups.items()], len(cols))
+        return block_kernel([(idx, block) for _, idx, block in
+                             _pair_blocks(params, n_filter, cols, rows)],
+                            len(cols))
 
     pieces, pivot_monos = [], []
-    for q in range(max(cap, col_cap) + 1):
+    for q in range(cap + 1):
         cols = monos_of_degree(g, q)
         vecs, pivots = kernel(cols, monomials_up_to(g, cap))
         pieces.append(tuple(vecs))
-        pivot_monos.append([cols[p] for p in pivots])
-    cols = [m for q in range(col_cap + 1) for m in pivot_monos[q]]
-    vecs, _ = kernel(cols, [m for q in range(cap + 1) for m in pivot_monos[q]])
-    mixed = sorted((ExtClass(g, {cols[j]: c for j, c in enumerate(v) if c})
+        pivot_monos.extend(cols[p] for p in pivots)
+    vecs, _ = kernel(pivot_monos, pivot_monos)
+    mixed = sorted((ExtClass(g, {m: c for m, c in zip(pivot_monos, v) if c})
                     for v in vecs), key=lambda z: z.degrees()[-1] % params.N)
-    return tuple(pieces[:col_cap + 1]), tuple(mixed)
-
-
-def _radical_classes(params: SphereParams, n_filter: Optional[int],
-                     col_cap: int) -> List[ExtClass]:
-    """The radical basis of _radical as classes: pieces, then mixed."""
-    pieces, mixed = _radical(params, n_filter, col_cap)
-    out = []
-    for q, vecs in enumerate(pieces):
-        cols = monos_of_degree(params.g, q)
-        for vec in vecs:
-            out.append(ExtClass(params.g, {cols[j]: c for j, c in enumerate(vec) if c}))
-    return out + list(mixed)
-
-
-def annihilator(params: SphereParams, maxdeg: Optional[int] = None) -> List[ExtClass]:
-    """Canonical basis of the radical of pair within degrees <= maxdeg.
-
-    The radical is {z : pair(z, m) = 0 for every monomial m of degree
-    <= 2d} (default maxdeg 2d).  The basis comes in two runs: first the
-    homogeneous pieces, degree by degree, each the canonical kernel basis
-    of the pairing conditions in that degree; then the mixed-degree
-    corrections, which exist because consecutive levels couple degrees
-    q and q - 2|r| (see _radical).  The level depends on |r| only.  Its
-    codimension in the degree <= 2d monomial space is the total Betti
-    number of s^d Sigma.
-    """
-    cap = 2 * params.d if maxdeg is None else maxdeg
-    if cap < 0:
-        raise DomainError("maxdeg must be >= 0")
-    return _radical_classes(params, None, cap)
+    return tuple(pieces), tuple(mixed)
 
 
 def weight_ranks(params: SphereParams, n_filter: Optional[int] = None
@@ -254,18 +236,10 @@ def weight_ranks(params: SphereParams, n_filter: Optional[int] = None
     longer.
     """
     params = SphereParams(params.g, abs(params.r))
-    g = params.g
-    by_weight: Dict[Tuple[int, ...], List[ExtMono]] = {}
-    for m in monomials_up_to(g, 2 * params.d):
-        by_weight.setdefault(mono_weight(g, m), []).append(m)
-    ranks = {}
-    for w, monos in by_weight.items():
-        cols = sorted(monos, key=lambda m: -m.degree)
-        rows = ([mono_pair(params, c, m2, n_filter) for c in cols]
-                for m2 in sorted(by_weight[tuple(-x for x in w)],
-                                 key=lambda m: -m.degree))
-        ranks[w] = rank([row for row in rows if any(row)], len(cols))
-    return ranks
+    monos = sorted(monomials_up_to(params.g, 2 * params.d),
+                   key=lambda m: -m.degree)
+    return {w: rank(block, len(idx))
+            for w, idx, block in _pair_blocks(params, n_filter, monos, monos)}
 
 
 @lru_cache(maxsize=None)
@@ -523,15 +497,18 @@ class PairingQuotient:
     # -- radical access ----------------------------------------------------
 
     def radical_vectors(self, q: int) -> List[Tuple[Fraction, ...]]:
-        pieces = _radical(self.params, self.n_filter, 2 * self.d)[0]
+        pieces = _radical(self.params, self.n_filter)[0]
         return list(pieces[q]) if 0 <= q < len(pieces) else []
 
     def radical_elements(self) -> List[ExtClass]:
         """Homogeneous radical pieces by degree, then mixed corrections."""
-        return _radical_classes(self.params, self.n_filter, 2 * self.d)
+        pieces, mixed = _radical(self.params, self.n_filter)
+        return [ExtClass(self.g, {m: c for m, c in
+                                  zip(monos_of_degree(self.g, q), v) if c})
+                for q, vecs in enumerate(pieces) for v in vecs] + list(mixed)
 
     def mixed_radical_elements(self) -> List[ExtClass]:
-        return list(_radical(self.params, self.n_filter, 2 * self.d)[1])
+        return list(_radical(self.params, self.n_filter)[1])
 
     def basis_degrees(self) -> List[int]:
         return [L.degree for L in self.labels]

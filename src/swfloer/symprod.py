@@ -32,7 +32,7 @@ from math import comb
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import DomainError, VerificationFailure
-from .extalg import parse_frac, parse_int, primitive_dim, render_frac
+from .extalg import _RAT_RE, parse_frac, parse_int, primitive_dim, render_frac
 from .qlinalg import QMatrix, frac, reduce_by_rref, rref, sum_terms
 from .swpair import PairingQuotient, SphereParams
 
@@ -122,8 +122,7 @@ class BiPoly:
 
 # -- text form -------------------------------------------------------------
 
-_BP_FACTOR_RE = re.compile(r"(e|t)(?:\^(\d+))?$|1$")
-_BP_RAT_RE = re.compile(r"-?\d+(?:/\d+)?$")
+_BP_FACTOR_RE = re.compile(r"(e|t)(?:\^(\d+))?$")
 
 
 def render_bipoly(p: BiPoly) -> str:
@@ -170,7 +169,7 @@ def parse_bipoly(text: str) -> BiPoly:
         saw_factor = False
         for factor in chunk.split("*"):
             factor = factor.strip()
-            if _BP_RAT_RE.match(factor):
+            if _RAT_RE.fullmatch(factor):
                 coeff *= parse_frac(factor)
                 saw_factor = True
                 continue
@@ -178,8 +177,6 @@ def parse_bipoly(text: str) -> BiPoly:
             if not m:
                 raise DomainError(f"bad factor {factor!r} in {text!r}")
             saw_factor = True
-            if factor == "1":
-                continue
             exp = parse_int(m.group(2)) if m.group(2) else 1
             if m.group(1) == "e":
                 a += exp

@@ -314,6 +314,24 @@ def test_glue_table_value_outside_the_rational_grammar(value, tmp_path,
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("header", ["genus 0_3 r +1", "genus 2 r 1_0"])
+def test_glue_table_header_outside_the_integer_grammar(header, tmp_path,
+                                                       capsys):
+    # int() alone reads underscores: 'genus 0_3' was a genus-3 table
+    t1 = tmp_path / "t1.swt"
+    t1.write_text(f"{header}\n1 1\n", encoding="utf-8")
+    t2 = tmp_path / "t2.swt"
+    t2.write_text("genus +2 r +1\n1 3/2\n", encoding="utf-8")  # signs read
+    code, out, err = run(capsys, "glue", "--g", "2", "--r", "1",
+                         "--t1", str(t1), "--t2", str(t2))
+    assert (code, out) == (2, "")
+    assert err == (f"DomainError: line 1: non-integer genus or twist in "
+                   f"{header!r}\n")
+    code, out, err = run(capsys, "glue", "--g", "2", "--r", "1",
+                         "--t1", str(t2), "--t2", str(t2))
+    assert (code, err) == (0, "")
+
+
 def test_glue_answer_longer_than_the_int_string_limit(tmp_path, capsys):
     # each table holds 10^3000; at (2, 1) the Gram matrix is (1), so the
     # answer 10^6000 has more digits than str(int) converts by default
@@ -338,8 +356,11 @@ def test_gram_structure_compares_every_block_entry_with_the_pairing(
              if degs[i] + degs[j] < 2 * ring.d)
     i, j, v = entries[k]
     entries[k] = (i, j, v + 1)
-    monkeypatch.setattr(ring, "block_entries",
-                        lambda inverse=False: iter(entries))
+    # the inverse entries stay true, or the lru-cached universal matrix
+    # that gluing-cap builds from them would keep the doctored Gram
+    block_entries = ring.block_entries
+    monkeypatch.setattr(ring, "block_entries", lambda inverse=False:
+                        block_entries(True) if inverse else iter(entries))
     code, out, _ = run(capsys, "verify", "--g", "3", "--r", "1")
     assert code == 1
     assert (f"FAIL gram-structure: (3,1): block entry ({i},{j}) differs "

@@ -1,6 +1,8 @@
 """Fuzzing of the three text parsers: each returns a value or raises
 DomainError, never another exception."""
 
+import re
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -55,6 +57,12 @@ table_lines = st.lists(grammar_text("xtg0123456789^*/-# .", max_size=20),
 @settings(max_examples=400, deadline=None)
 @example("genus 3 r 1", ["x^" + LONG + " 1"])
 @example("genus 3 r 1", ["x 1/0"])
+@example("genus 0_3 r +1", ["1 1"])
 def test_parse_sw_table_value_or_domain_error(header, lines):
-    out = value_or_domain_error(parse_sw_table, "\n".join([header] + lines))
+    text = "\n".join([header] + lines)
+    out = value_or_domain_error(parse_sw_table, text)
     assert out is None or isinstance(out, SWTable)
+    if out is not None:  # the header numbers follow the integer grammar
+        first = next(t for t in (raw.split("#", 1)[0].split()
+                                 for raw in text.splitlines()) if t)
+        assert all(re.fullmatch(r"[+-]?\d+", n) for n in first[1::2])

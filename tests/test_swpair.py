@@ -24,7 +24,6 @@ from swfloer import swpair
 from swfloer.swpair import (
     PairingQuotient,
     SphereParams,
-    annihilator,
     class_pair,
     contributing_level,
     mono_pair,
@@ -219,7 +218,7 @@ def test_gram_canonical_basis_antitriangular_and_invertible():
     invert(m)  # raises SingularMatrix if the form were degenerate
 
 
-# -- annihilator -----------------------------------------------------------
+# -- the radical: the annihilator of the pairing ---------------------------
 
 BETTI_TOTALS = {
     (2, 1): 1, (3, 1): 8, (3, 2): 1,
@@ -230,48 +229,48 @@ BETTI_TOTALS = {
 
 def test_annihilator_codim_matches_betti():
     for (g, r) in ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)):
-        p = SphereParams(g, r)
-        ann = annihilator(p)
-        n_monos = len(monomials_up_to(g, 2 * p.d))
-        assert n_monos - len(ann) == BETTI_TOTALS[(g, r)], (g, r)
+        Q = quotient(g, r)
+        codim = len(Q.monos) - len(Q.radical_elements())
+        assert codim == BETTI_TOTALS[(g, r)], (g, r)
 
 
 def test_annihilator_folds_negative_level():
     # the pairing depends on |r| only, as in PairingQuotient and build_oracle
     for (g, r) in ((3, 1), (4, 1), (4, 2)):
-        p = SphereParams(g, -r)
-        ann = annihilator(p)
-        n_monos = len(monomials_up_to(g, 2 * p.d))
-        assert n_monos - len(ann) == BETTI_TOTALS[(g, r)], (g, -r)
-        assert ann == annihilator(SphereParams(g, r)), (g, -r)
+        Q = PairingQuotient(SphereParams(g, -r))
+        radical = Q.radical_elements()
+        assert len(Q.monos) - len(radical) == BETTI_TOTALS[(g, r)], (g, -r)
+        assert radical == quotient(g, r).radical_elements(), (g, -r)
 
 
 def test_annihilator_elements_annihilate():
     for (g, r) in ((3, 1), (4, 2)):
-        p = SphereParams(g, r)
-        monos = [ExtClass.monomial(g, m) for m in monomials_up_to(g, 2 * p.d)]
-        for z in annihilator(p):
-            assert all(class_pair(p, z, m) == 0 for m in monos)
+        Q = quotient(g, r)
+        monos = [ExtClass.monomial(g, m) for m in Q.monos]
+        for z in Q.radical_elements():
+            assert all(class_pair(Q.params, z, m) == 0 for m in monos)
 
 
 def test_annihilator_degree_zero_and_one_empty_at_g3():
-    assert annihilator(SphereParams(3, 1), maxdeg=1) == []
+    Q = quotient(3, 1)
+    assert Q.radical_vectors(0) == [] and Q.radical_vectors(1) == []
 
 
 def test_annihilator_everything_above_degree_zero_at_g2():
     # d = 0: the quotient is one-dimensional, every positive degree dies
     p = SphereParams(2, 1)
-    ann = annihilator(p, maxdeg=3)
-    monos = [m for m in monomials_up_to(2, 3) if m.degree >= 1]
-    assert len(ann) == len(monos)
+    monos = monomials_up_to(2, 3)
+    for m in monos:
+        if m.degree >= 1:
+            assert all(mono_pair(p, m, m2) == 0 for m2 in monos), m
 
 
 def test_annihilator_contains_x_to_d_plus_one():
     for (g, r) in ((2, 1), (3, 1), (4, 2)):
         p = SphereParams(g, r)
         xtop = ExtClass.x_power(g, p.d + 1)
-        ann = annihilator(p, maxdeg=2 * p.d + 2)
-        assert any(z == xtop for z in ann), (g, r)
+        for m in monomials_up_to(g, 2 * p.d):
+            assert class_pair(p, xtop, ExtClass.monomial(g, m)) == 0, (g, r, m)
 
 
 def test_relation_with_correction_annihilates_at_g3():

@@ -16,8 +16,9 @@ carries the shuffle sign epsilon_g = (-1)^(g(g-1)/2).
 
 Primitive subspaces: Lambda_0^k = ker(theta^(g-k+1) : Lambda^k ->
 Lambda^(2g-k+2)), of dimension C(2g,k) - C(2g,k-2).  The returned basis is
-canonical (kernel basis of the multiplication matrix in lexicographic
-monomial order), so every module downstream agrees on it.
+the canonical kernel basis of the multiplication matrix in lexicographic
+monomial order, so every module downstream agrees on it; theta has torus
+weight 0, so it is eliminated by weight and equals the assembled kernel.
 
 >>> top_eval(theta_class(2) * theta_class(2))
 Fraction(2, 1)
@@ -32,10 +33,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
 from math import comb
-from typing import Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError, GenusMismatch
-from .qlinalg import QMatrix, frac, kernel_basis, sum_terms
+from .qlinalg import block_kernel, frac, sum_terms
 
 
 class ExtMono(NamedTuple):
@@ -70,6 +71,16 @@ def mono_weight(g: int, m: ExtMono) -> Tuple[int, ...]:
         else:
             w[i - g - 1] -= 1
     return tuple(w)
+
+
+def by_weight(g: int, monos: Sequence[ExtMono]) -> Dict[Tuple[int, ...], List[int]]:
+    """The indices of monos grouped by torus weight: weights in order of
+    first appearance, each index list increasing (the column layout that
+    qlinalg.block_kernel takes)."""
+    groups: Dict[Tuple[int, ...], List[int]] = {}
+    for i, m in enumerate(monos):
+        groups.setdefault(mono_weight(g, m), []).append(i)
+    return groups
 
 
 def _check_mono(g: int, m: ExtMono) -> None:
@@ -286,30 +297,24 @@ def primitive_basis(g: int, k: int) -> Tuple[ExtClass, ...]:
     """Canonical basis of the primitive subspace Lambda_0^k.
 
     Lambda_0^k = ker(theta^(g-k+1): Lambda^k -> Lambda^(2g-k+2)); the basis
-    is the canonical kernel basis of the multiplication matrix with both
-    sides in lexicographic monomial order.
+    is the canonical kernel basis of the multiplication matrix, columns in
+    lexicographic monomial order.  theta preserves torus weight, so each
+    weight block of columns is eliminated alone (block_kernel): the rref is
+    unique, and the basis equals the assembled matrix's kernel.
     """
     if not (0 <= k <= g):
         raise DomainError(f"primitive degree k = {k} outside 0..g = {g}")
-    cols = gamma_monomials(g, k)
-    target_deg = 2 * g - k + 2
+    cols = [ExtMono(0, gam) for gam in gamma_monomials(g, k)]
     power = theta_power(g, g - k + 1)
-    if target_deg > 2 * g:
-        rows: List[Tuple[int, ...]] = []
-    else:
-        rows = gamma_monomials(g, target_deg)
-    row_index = {gam: i for i, gam in enumerate(rows)}
-    mat = [[Fraction(0)] * len(cols) for _ in rows]
-    for j, gam in enumerate(cols):
-        image = wedge(ExtClass.monomial(g, ExtMono(0, gam)), power)
-        for m, c in image.terms.items():
-            mat[row_index[m.gammas]][j] = c
-    ker = kernel_basis(QMatrix(mat, ncols=len(cols)))
-    basis = []
-    for vec in ker:
-        basis.append(ExtClass(g, {ExtMono(0, cols[j]): c
-                                  for j, c in enumerate(vec) if c}))
-    return tuple(basis)
+    blocks = []
+    for idx in by_weight(g, cols).values():
+        rows: Dict[ExtMono, List[Fraction]] = {}
+        for a, j in enumerate(idx):
+            for m, c in wedge(ExtClass.monomial(g, cols[j]), power).terms.items():
+                rows.setdefault(m, [Fraction(0)] * len(idx))[a] = c
+        blocks.append((idx, list(rows.values())))
+    return tuple(ExtClass(g, {cols[j]: c for j, c in enumerate(vec) if c})
+                 for vec in block_kernel(blocks, len(cols))[0])
 
 
 def primitive_dim(g: int, k: int) -> int:

@@ -33,7 +33,7 @@ from .extalg import (
 )
 from .floerring import build_oracle, tilde_relation
 from .qlinalg import QMatrix, frac, rank
-from .swpair import BasisLabel, SphereParams, class_pair, monos_of_degree
+from .swpair import BasisLabel, SphereParams, class_pair
 
 ZERO = Fraction(0)
 
@@ -187,11 +187,10 @@ def cap_table(g: int, r: int, k: int) -> SWTable:
         raise DomainError(f"basis index {k} out of range 0..{ring.dim - 1}")
     target = ring.basis[k]
     values: Dict[ExtMono, Fraction] = {}
-    for q in range(2 * ring.d + 1):
-        for m in monos_of_degree(g, q):
-            v = class_pair(ring.params, ExtClass.monomial(g, m), target)
-            if v:
-                values[m] = v
+    for m in ring.monos:
+        v = class_pair(ring.params, ExtClass.monomial(g, m), target)
+        if v:
+            values[m] = v
     return SWTable(g, r, values)
 
 

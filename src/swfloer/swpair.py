@@ -49,6 +49,7 @@ from .extalg import (
     ExtClass,
     ExtMono,
     _merge_sign,
+    by_weight,
     mono_weight,
     monomials_up_to,
     primitive_basis,
@@ -172,16 +173,10 @@ def _pair_blocks(params: SphereParams, n_filter: Optional[int],
     columns]), rows in their given order.  mono_pair vanishes unless the
     two torus weights are opposite, so these blocks hold every nonzero
     entry; a row with no contributing level is zero and is dropped."""
-    g = params.g
-    rows_of: Dict[Tuple[int, ...], List[ExtMono]] = {}
-    for m in rows:
-        rows_of.setdefault(mono_weight(g, m), []).append(m)
-    groups: Dict[Tuple[int, ...], List[int]] = {}
-    for j, m in enumerate(cols):
-        groups.setdefault(mono_weight(g, m), []).append(j)
-    for w, idx in groups.items():
-        block = ([mono_pair(params, cols[j], m, n_filter) for j in idx]
-                 for m in rows_of.get(tuple(-x for x in w), ()))
+    rows_of = by_weight(params.g, rows)
+    for w, idx in by_weight(params.g, cols).items():
+        block = ([mono_pair(params, cols[j], rows[i], n_filter) for j in idx]
+                 for i in rows_of.get(tuple(-x for x in w), ()))
         yield w, idx, [row for row in block if any(row)]
 
 
@@ -438,15 +433,13 @@ class PairingQuotient:
         has weight lambda)."""
         if z.g != self.g:
             raise DomainError(f"genus mismatch: class {z.g}, ring {self.g}")
-        parts: Dict[Tuple[int, ...], Dict[ExtMono, Fraction]] = {}
-        for m, c in z.terms.items():
-            parts.setdefault(mono_weight(self.g, m), {})[m] = c
+        monos = list(z.terms)
         coeffs = [ZERO] * self.dim
-        for w, terms in parts.items():
+        for w, idx in by_weight(self.g, monos).items():
             if w not in self._weight_blocks:
                 continue
             cols, rows, _, inv = self._weight_blocks[w]
-            part = ExtClass(self.g, terms)
+            part = ExtClass(self.g, {monos[j]: z.terms[monos[j]] for j in idx})
             values = [self.pairing(part, self.basis[l]) for l in rows]
             for i, c in zip(cols, inv.apply(values)):
                 coeffs[i] = c
@@ -456,7 +449,7 @@ class PairingQuotient:
         return self.element_from_vector(self.nf_vector(z))
 
     def is_in_radical(self, z: ExtClass) -> bool:
-        return all(c == 0 for c in self.nf_vector(z))
+        return not any(self.nf_vector(z))
 
     def element_from_vector(self, vec: Sequence[Fraction]) -> ExtClass:
         return ExtClass(self.g, ((m, c * ce) for c, e in zip(vec, self.basis)

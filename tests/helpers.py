@@ -1,12 +1,13 @@
-"""Helpers that only the tests need: dense matrix arithmetic, the Gram
-table computed without weights, the gamma-annihilated subspace and the
-vanishing-cycle ideal from products, splitting by degree or weight, and
-sums folded term by term."""
+"""Helpers that only the tests need: dense matrix arithmetic, the
+primitive basis and the Gram table computed without weights, the
+gamma-annihilated subspace and the vanishing-cycle ideal from products,
+splitting by degree or weight, and sums folded term by term."""
 
+from fractions import Fraction
 from functools import lru_cache
 
-from swfloer.extalg import ExtClass
-from swfloer.qlinalg import QMatrix, block_kernel, rref
+from swfloer.extalg import ExtClass, ExtMono, gamma_monomials, theta_power, wedge
+from swfloer.qlinalg import QMatrix, block_kernel, kernel_basis, rref
 from swfloer.swpair import class_pair
 from swfloer.symprod import BiPoly
 
@@ -20,6 +21,23 @@ def matmul(a, b):
     return QMatrix([[sum(a[i, k] * b[k, j] for k in range(a.ncols))
                      for j in range(b.ncols)] for i in range(a.nrows)],
                    b.ncols)
+
+
+def dense_primitive_basis(g, k):
+    """The kernel of theta^(g-k+1) on the gamma monomials of degree k,
+    from the whole multiplication matrix (both sides in lexicographic
+    order) without reference to torus weights: the reference for
+    extalg.primitive_basis, which eliminates weight block by block."""
+    cols = gamma_monomials(g, k)
+    rows = gamma_monomials(g, 2 * g - k + 2)  # none when k < 2
+    row_index = {gam: i for i, gam in enumerate(rows)}
+    power = theta_power(g, g - k + 1)
+    mat = [[Fraction(0)] * len(cols) for _ in rows]
+    for j, gam in enumerate(cols):
+        for m, c in wedge(ExtClass.monomial(g, ExtMono(0, gam)), power).terms.items():
+            mat[row_index[m.gammas]][j] = c
+    return tuple(ExtClass(g, {ExtMono(0, cols[j]): c for j, c in enumerate(vec) if c})
+                 for vec in kernel_basis(QMatrix(mat, ncols=len(cols))))
 
 
 @lru_cache(maxsize=None)

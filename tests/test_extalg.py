@@ -10,9 +10,11 @@ from swfloer.errors import DomainError, GenusMismatch
 from swfloer.extalg import (
     ExtClass,
     ExtMono,
+    by_weight,
     embed_bipoly,
     epsilon,
     gamma_monomials,
+    mono_weight,
     monomials_up_to,
     parse_class,
     parse_monomial,
@@ -26,7 +28,7 @@ from swfloer.extalg import (
 )
 from swfloer.qlinalg import QMatrix, rref
 
-from helpers import homogeneous_components
+from helpers import dense_primitive_basis, homogeneous_components
 
 F = Fraction
 
@@ -136,6 +138,24 @@ class TestMonomials:
         assert len(monomials_up_to(g, maxdeg)) == n
 
 
+class TestByWeight:
+    def test_small_example(self):
+        monos = [ExtMono(0, (1,)), ExtMono(1, ()), ExtMono(0, (1, 3))]
+        assert by_weight(2, monos) == {(1, 0): [0], (0, 0): [1, 2]}
+        assert list(by_weight(2, monos)) == [(1, 0), (0, 0)]
+
+    @pytest.mark.parametrize("g,maxdeg", [(2, 4), (3, 4), (4, 3)])
+    def test_partitions_by_weight_in_order_of_first_appearance(self, g, maxdeg):
+        monos = monomials_up_to(g, maxdeg)[::-1]
+        groups = by_weight(g, monos)
+        assert list(groups) == list(dict.fromkeys(mono_weight(g, m) for m in monos))
+        assert sorted(i for idx in groups.values() for i in idx) == \
+            list(range(len(monos)))
+        for w, idx in groups.items():
+            assert idx == sorted(idx)
+            assert {mono_weight(g, monos[i]) for i in idx} == {w}
+
+
 class TestPrimitiveBasis:
     @pytest.mark.parametrize("g", [2, 3, 4, 5])
     def test_dimensions(self, g):
@@ -159,6 +179,13 @@ class TestPrimitiveBasis:
     def test_out_of_range(self):
         with pytest.raises(DomainError):
             primitive_basis(3, 4)
+
+    # every degree a command reads: k <= d = g - 1 - |r| <= 4 at genus 6
+    @pytest.mark.parametrize("g,k", [(g, k) for g in range(1, 6)
+                                     for k in range(g + 1)]
+                             + [(6, k) for k in range(5)])
+    def test_equals_the_assembled_kernel(self, g, k):
+        assert primitive_basis(g, k) == dense_primitive_basis(g, k)
 
     @pytest.mark.parametrize("g,k", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
     def test_hard_lefschetz_bijection(self, g, k):

@@ -2,7 +2,10 @@
 the digest recorded in perfbench/reference.json, so a change to any
 printed output shows in the tests.  The command lines come from
 perfbench/run.py (pool_keys, pool_argv), which is only read: bytecode is
-not written there, and table files go to a temporary directory."""
+not written there, and table files go to a temporary directory.
+
+The genus-6 outputs, which the benchmark does not draw, are held to the
+digests in tests/data/genus6.json the same way."""
 
 import hashlib
 import importlib.util
@@ -16,6 +19,8 @@ from swfloer.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 DIGESTS = json.loads((BENCH / "reference.json").read_text())["digests"]
+GENUS6 = json.loads((Path(__file__).resolve().parent / "data" / "genus6.json")
+                    .read_text())["digests"]
 
 
 def load_run():
@@ -37,6 +42,12 @@ RUN = load_run()
 KEYS = RUN.pool_keys()
 
 
+def digest(capsys):
+    """sha256 and byte length of the stdout captured since the last read."""
+    out = capsys.readouterr().out.encode()
+    return [hashlib.sha256(out).hexdigest(), len(out)]
+
+
 def test_pool_covers_the_reference():
     assert sorted(KEYS) == sorted(DIGESTS)
 
@@ -47,5 +58,12 @@ def test_printed_matrix_matches_reference(command, tmp_path, capsys):
         if key.split()[0] != command:
             continue
         assert main(RUN.pool_argv(key, tmp_path)) == 0, key
-        out = capsys.readouterr().out.encode()
-        assert [hashlib.sha256(out).hexdigest(), len(out)] == DIGESTS[key], key
+        assert digest(capsys) == DIGESTS[key], key
+
+
+@pytest.mark.parametrize("command", sorted({k.split()[0] for k in GENUS6}))
+def test_genus_six_output_matches_recorded_digest(command, capsys):
+    for line in GENUS6:
+        if line.split()[0] == command:
+            assert main(line.split()) == 0, line
+            assert digest(capsys) == GENUS6[line], line

@@ -11,9 +11,11 @@ the radical of the sphere-invariant pairing.  This module provides:
   - presentation_quotient: the sector rings cut out by those relations
     together with the nilpotence relations, by exact linear algebra;
   - recursion_unique: the constrained polynomial recursion determining
-    an alternative relation family, solved and checked for uniqueness;
+    an alternative relation family, solved on one table of coefficients
+    and checked for uniqueness;
   - recursion_free_check: the unconstrained one-step solution of the
-    same recursion, verified identically;
+    same recursion, verified identically.  Both compare polynomials one
+    Taylor coefficient at a time (_taylor), with no polynomial type;
   - deformation_components: the splitting of a product into its base
     cup-product term and the higher corrections along degrees stepping
     by 2|r|.
@@ -47,68 +49,11 @@ from .symprod import (
     sector_monomials,
 )
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
-Poly = Tuple[Fraction, ...]  # univariate, index = exponent
-
-
-# -- univariate helpers ----------------------------------------------------
-
-def _poly_trim(c: List[Fraction]) -> Poly:
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return ()
-    out = [ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] += a * b
-    return _poly_trim(out)
-
-
-def poly_add(p: Poly, q: Poly) -> Poly:
-    out = [ZERO] * max(len(p), len(q))
-    for i, a in enumerate(p):
-        out[i] += a
-    for i, b in enumerate(q):
-        out[i] += b
-    return _poly_trim(out)
-
-
-def poly_scale(p: Poly, c: Fraction) -> Poly:
-    return _poly_trim([c * a for a in p])
-
-
-def poly_pow(p: Poly, n: int) -> Poly:
-    out: Poly = (ONE,)
-    for _ in range(n):
-        out = poly_mul(out, p)
-    return out
-
-
-def poly_shift(p: Poly, c: int) -> Poly:
-    """p(x + c)."""
-    out = [ZERO] * len(p)
-    cf = Fraction(c)
-    for e, a in enumerate(p):
-        if not a:
-            continue
-        power = ONE
-        for j in range(e, -1, -1):
-            out[j] += a * comb(e, j) * power
-            power *= cf
-    return _poly_trim(out)
-
-
-def _x_power(n: int) -> Poly:
-    return tuple([ZERO] * n + [ONE])
+def _taylor(e: int, j: int, at: int) -> int:
+    """The j-th Taylor coefficient of x^e at x = at: C(e, j) at^(e-j),
+    and 0 when j > e (where at^(e-j) would be a float)."""
+    return comb(e, j) * at ** (e - j) if j <= e else 0
 
 
 # -- the recursion ---------------------------------------------------------
@@ -119,65 +64,49 @@ def _check_gr(g: int, r: int) -> Tuple[int, int]:
     return g, abs(r)
 
 
-def seed_poly(g: int, r: int) -> Poly:
-    """The recursion seed (x-1)^(d-alpha+1) x^(g-(d-alpha+1))."""
-    g, r = _check_gr(g, r)
-    d = g - 1 - r
-    a = alpha_of(d, 0)
-    n = d - a + 1
-    return poly_mul(poly_pow((Fraction(-1), ONE), n), _x_power(g - n))
-
-
 @lru_cache(maxsize=None)
 def _run_recursion(g: int, r: int):
-    """Solve the constrained recursion at one genus.
+    """Solve the constrained recursion at one genus, on one coefficient
+    table a_im of the polynomials p_m = sum_i a_im x^(g-i).
 
-    Step m seeks p_m = sum a_im x^(g-i) over the index window
-    2 alpha + 2mr - d <= i <= alpha + mr, matching the Taylor expansion
-    of -(p_0(x+m) + ... + p_{m-1}(x+1)) at x = 1 to order d - alpha - mr.
-    The window and the order shrink together, so each step is a square
-    linear system; a singular one would falsify the uniqueness this
-    construction relies on and aborts loudly.
+    The seed p_0 = (x-1)^n x^(g-n), n = d - alpha + 1, has
+    a_i0 = (-1)^i C(n, i).  Step m seeks the a_im over the index window
+    2 alpha + 2mr - d <= i <= alpha + mr whose Taylor coefficients at
+    x = 1 match those of -(p_0(x+m) + ... + p_{m-1}(x+1)) to order
+    d - alpha - mr, each read off the table by _taylor.  The window and
+    the order shrink together, so each step is a square linear system; a
+    singular one would falsify the uniqueness this construction relies
+    on and aborts loudly.
 
-    Returns (polynomials by step, coefficients a_im by (i, m), and the
-    assembled order-zero relation as a BiPoly).
+    Returns (coefficients a_im by (i, m), and the assembled order-zero
+    relation as a BiPoly).
     """
     g, r = _check_gr(g, r)
     d = g - 1 - r
     a0 = alpha_of(d, 0)
-    polys: Dict[int, Poly] = {0: seed_poly(g, r)}
-    coeffs: Dict[Tuple[int, int], Fraction] = {}
-    p0 = polys[0]
-    for i in range(d - a0 + 2):
-        c = p0[g - i] if g - i < len(p0) else ZERO
-        if c:
-            coeffs[(i, 0)] = c
+    n = d - a0 + 1
+    coeffs: Dict[Tuple[int, int], Fraction] = {
+        (i, 0): Fraction((-1) ** i * comb(n, i)) for i in range(n + 1)}
     m = 1
     while a0 + m * r <= d:
         lo = 2 * a0 + 2 * m * r - d
         hi = a0 + m * r
         orders = d - a0 - m * r + 1
-        A = QMatrix([[Fraction(comb(g - i, j)) for i in range(lo, hi + 1)]
+        A = QMatrix([[_taylor(g - i, j, 1) for i in range(lo, hi + 1)]
                      for j in range(orders)], ncols=hi - lo + 1)
-        rhs_poly: Poly = ()
-        for mm in range(m):
-            rhs_poly = poly_add(rhs_poly, poly_shift(polys[mm], m - mm))
-        shifted = poly_shift(rhs_poly, 1)
-        rhs = [-(shifted[j] if j < len(shifted) else ZERO) for j in range(orders)]
+        rhs = [-sum(c * _taylor(g - i, j, 1 + m - mm)
+                    for (i, mm), c in coeffs.items())
+               for j in range(orders)]
         try:
             sol = invert(A).apply(rhs)
         except SingularMatrix:
             raise InconsistentRecursion(
                 f"step {m} at (g,r)=({g},{r}): solution not unique") from None
-        pm: Poly = ()
-        for offset, i in enumerate(range(lo, hi + 1)):
-            c = sol[offset]
+        for i, c in zip(range(lo, hi + 1), sol):
             if c:
                 coeffs[(i, m)] = c
-                pm = poly_add(pm, poly_scale(_x_power(g - i), c))
-        polys[m] = pm
         m += 1
-    return polys, coeffs, BiPoly(
+    return coeffs, BiPoly(
         ((a0 + mm * r - i, i), c / (factorial(i) * comb(g, i)))
         for (i, mm), c in coeffs.items())
 
@@ -190,7 +119,6 @@ class RelationSet:
     r: int
     tilde: Dict[int, BiPoly]
     recursion: Dict[int, BiPoly]
-    p_polys: Dict[int, Poly]
     a_coeffs: Dict[Tuple[int, int], Fraction]
 
     @property
@@ -222,43 +150,39 @@ def recursion_unique(g: int, r: int) -> RelationSet:
     relation one genus down per prefactor degree."""
     g, r = _check_gr(g, r)
     d = g - 1 - r
-    polys, coeffs, _ = _run_recursion(g, r)
+    coeffs, _ = _run_recursion(g, r)
     tilde = {k: tilde_relation(g, r, k) for k in range(d + 2)}
-    recursion = {}
-    for k in range(d + 1):
-        _, _, R0 = _run_recursion(g - k, r)
-        recursion[k] = R0
+    recursion = {k: _run_recursion(g - k, r)[1] for k in range(d + 1)}
     recursion[d + 1] = BiPoly.unit()
     return RelationSet(g=g, r=r, tilde=tilde, recursion=recursion,
-                       p_polys=dict(polys), a_coeffs=dict(coeffs))
+                       a_coeffs=dict(coeffs))
 
 
 def recursion_free_check(g: int, r: int) -> bool:
     """Verify the unconstrained solution of the recursion.
 
-    With p_1 = -x^(g-alpha-r) (x+1)^(alpha+r) and p_m = 0 for m >= 2:
-    p_0(x+m) + p_1(x+m-1) must vanish identically for every m >= 2, p_1
-    must agree with -p_0(x+1) to the required Taylor order at x = 1,
-    and the read-back coefficients must be a_i1 = -C(alpha+r, i).
+    With p_1 = -x^(g-alpha-r) (x+1)^(alpha+r), that is
+    a_i1 = -C(alpha+r, i), and p_m = 0 for m >= 2: p_0(x+m) + p_1(x+m-1)
+    must vanish identically for every m >= 2, and p_1 must agree with
+    -p_0(x+1) to the required Taylor order at x = 1.  Both polynomials
+    are lists of (exponent, coefficient) pairs, compared one Taylor
+    coefficient at a time.
     """
     g, r = _check_gr(g, r)
     d = g - 1 - r
     a = alpha_of(d, 0)
-    p0 = seed_poly(g, r)
-    p1 = poly_scale(poly_mul(_x_power(g - a - r), poly_pow((ONE, ONE), a + r)),
-                    Fraction(-1))
-    for i in range(a + r + 1):
-        have = p1[g - i] if g - i < len(p1) else ZERO
-        if have != -comb(a + r, i):
-            return False
+    n = d - a + 1
+    p0 = [(g - i, (-1) ** i * comb(n, i)) for i in range(n + 1)]
+    p1 = [(g - i, -comb(a + r, i)) for i in range(a + r + 1)]
+
+    def coeff(p, j, at):
+        return sum(c * _taylor(e, j, at) for e, c in p)
+
     for m in range(2, d + 4):
-        if poly_add(poly_shift(p0, m), poly_shift(p1, m - 1)):
+        if any(coeff(p0, j, m) + coeff(p1, j, m - 1) for j in range(g + 1)):
             return False
-    diff = poly_shift(poly_add(p1, poly_shift(p0, 1)), 1)
-    for j in range(d - a - r + 1):
-        if j < len(diff) and diff[j]:
-            return False
-    return True
+    return not any(coeff(p1, j, 1) + coeff(p0, j, 2)
+                   for j in range(d - a - r + 1))
 
 
 # -- sector presentation ---------------------------------------------------

@@ -1,14 +1,28 @@
 """Helpers that only the tests need: dense matrix arithmetic, the
 primitive basis and the Gram table computed without weights, the
 gamma-annihilated subspace and the vanishing-cycle ideal from products,
-splitting by degree or weight, and sums folded term by term."""
+splitting by degree or weight, sums folded term by term, the quotient
+dimension from one weight block per Weyl orbit, and a deadline."""
 
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
-from swfloer.extalg import ExtClass, ExtMono, gamma_monomials, theta_power, wedge
-from swfloer.qlinalg import QMatrix, block_kernel, kernel_basis, rref
-from swfloer.swpair import class_pair
+import pytest
+
+from swfloer.extalg import (
+    ExtClass,
+    ExtMono,
+    gamma_monomials,
+    mono_weight,
+    monomials_up_to,
+    theta_power,
+    wedge,
+)
+from swfloer.qlinalg import QMatrix, block_kernel, kernel_basis, rank, rref
+from swfloer.swpair import SphereParams, class_pair, mono_pair
 from swfloer.symprod import BiPoly
 
 
@@ -106,3 +120,43 @@ def fold_bipoly(pairs):
     for (a, b), c in pairs:
         out = out + BiPoly.monomial(a, b, c)
     return out
+
+
+def weyl_orbit_dimension(g, r):
+    """The dimension of V_r from one weight block per Weyl orbit.
+
+    Every torus weight of a monomial has entries in {-1, 0, 1}, and the
+    signed permutations of the symplectic pairs preserve mono_pair up to
+    sign, so the rank of the pairing between weights lambda and -lambda
+    depends only on the number j of nonzero entries of lambda.  Sum the
+    rank at (1^j, 0^(g-j)) times the orbit size 2^j C(g, j).  Each block
+    is built here straight from mono_pair, without the basis or the
+    per-weight blocks of swpair."""
+    params = SphereParams(g, r)
+    # highest degree first, as in swpair.weight_ranks: far less fill-in
+    monos = sorted(monomials_up_to(g, 2 * params.d), key=lambda m: -m.degree)
+    weights = [mono_weight(g, m) for m in monos]
+    total = 0
+    for j in range(g + 1):
+        lam = (1,) * j + (0,) * (g - j)
+        neg = tuple(-x for x in lam)
+        cols = [m for m, w in zip(monos, weights) if w == lam]
+        rows = [[mono_pair(params, c, m) for c in cols]
+                for m, w in zip(monos, weights) if w == neg]
+        total += rank(rows, len(cols)) * 2 ** j * comb(g, j)
+    return total
+
+
+@contextmanager
+def deadline(seconds, what):
+    """Fail the test if the block runs longer than seconds.  (main turns a
+    TimeoutError, being an OSError, into exit code 2.)"""
+    def timeout(signum, frame):
+        pytest.fail(f"{what} took over {seconds} s")
+    old = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)

@@ -1,8 +1,5 @@
 """Tests for the command-line frontend: output bytes and exit codes."""
 
-import signal
-from contextlib import contextmanager
-
 import pytest
 
 from swfloer import cli
@@ -12,28 +9,13 @@ from swfloer.glueadj import universal_matrix
 from swfloer.qlinalg import QMatrix
 from swfloer.symprod import BiPoly, sector_normal_form
 
-from helpers import dense_gram
+from helpers import deadline, dense_gram
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-@contextmanager
-def deadline(seconds, what):
-    """Fail the test if the block runs longer than seconds.  (main turns a
-    TimeoutError, being an OSError, into exit code 2.)"""
-    def timeout(signum, frame):
-        pytest.fail(f"{what} took over {seconds} s")
-    old = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
 
 
 # -- happy paths -----------------------------------------------------------

@@ -15,18 +15,14 @@ from swfloer.extalg import (
     wedge,
 )
 from swfloer.floerring import (
+    _taylor,
     alpha_of,
     build_oracle,
     deformation_components,
-    poly_add,
-    poly_mul,
-    poly_pow,
-    poly_shift,
     presentation_dimension,
     presentation_quotient,
     recursion_free_check,
     recursion_unique,
-    seed_poly,
     tilde_relation,
 )
 from swfloer.swpair import PairingQuotient, SphereParams
@@ -39,7 +35,7 @@ from swfloer.symprod import (
     ring_oracle,
 )
 
-from helpers import weight_component
+from helpers import weight_component, weyl_orbit_dimension
 
 F = Fraction
 
@@ -101,14 +97,18 @@ def test_tilde_low_weight_part_is_untwisted_relation():
 # -- recursion -------------------------------------------------------------
 
 def test_seed_poly_matches_closed_form():
-    # (x-1)^(d-alpha+1) x^(g-d+alpha-1)
+    # the m = 0 entries a_i0 are the coefficients of x^(g-i) in
+    # (x-1)^(d-alpha+1) x^(g-d+alpha-1), expanded here as a product in e
     for g, r in SWEEP:
         d = g - 1 - r
         a = alpha_of(d, 0)
-        m = d - a + 1
-        want = poly_mul(poly_pow((F(-1), F(1)), m),
-                        poly_pow((F(0), F(1)), g - m))
-        assert seed_poly(g, r) == want, (g, r)
+        n = d - a + 1
+        want = BiPoly.eta(g - n)
+        for _ in range(n):
+            want = want * (BiPoly.eta() - BiPoly.unit())
+        seed = {i: c for (i, m), c in recursion_unique(g, r).a_coeffs.items()
+                if m == 0}
+        assert seed == {g - e: c for (e, _), c in want.terms.items()}, (g, r)
 
 
 def test_recursion_trivial_when_window_empty():
@@ -129,7 +129,45 @@ def test_recursion_coefficients_genus_five():
     assert rs.a_coeffs == {(0, 0): F(1), (1, 0): F(-2), (2, 0): F(1),
                            (3, 1): F(-8)}
     assert render_bipoly(rs.recursion[0]) == "e^2 - 2/5*e*t + 1/20*t^2 - 2/15*t^3"
-    assert rs.p_polys[0] == (F(0), F(0), F(0), F(1), F(-2), F(1))
+
+
+# Steps m >= 2 first occur at (7,1); each step's right-hand side sums over
+# every earlier step, so these values pin that sum and not just step m-1.
+LATER_STEPS = {
+    (7, 1): ({(0, 0): 1, (1, 0): -3, (2, 0): 3, (3, 0): -1, (3, 1): -32,
+              (4, 1): 16, (5, 2): -264},
+             "e^3 - 3/7*e^2*t + 1/14*e*t^2 - 1/210*t^3 - 16/105*e*t^3"
+             " + 2/105*t^4 - 11/105*t^5"),
+    (9, 1): ({(0, 0): 1, (1, 0): -4, (2, 0): 6, (3, 0): -4, (3, 1): -80,
+              (4, 0): 1, (4, 1): 80, (5, 1): -32, (5, 2): -1824,
+              (6, 2): 1008, (7, 3): -20352},
+             "e^4 - 4/9*e^3*t + 1/12*e^2*t^2 - 1/126*e*t^3 + 1/3024*t^4"
+             " - 10/63*e^2*t^3 + 5/189*e*t^4 - 2/945*t^5 - 38/315*e*t^5"
+             " + 1/60*t^6 - 106/945*t^7"),
+    (11, 1): ({(0, 0): 1, (1, 0): -5, (2, 0): 10, (3, 0): -10, (3, 1): -160,
+               (4, 0): 5, (4, 1): 240, (5, 0): -1, (5, 1): -192,
+               (5, 2): -6992, (6, 1): 48, (6, 2): 7696, (7, 2): -3040,
+               (7, 3): -215808, (8, 3): 123520, (9, 4): -2771072},
+              "e^5 - 5/11*e^4*t + 1/11*e^3*t^2 - 1/99*e^2*t^3 + 1/1584*e*t^4"
+              " - 1/55440*t^5 - 16/99*e^3*t^3 + 1/33*e^2*t^4 - 4/1155*e*t^5"
+              " + 1/6930*t^6 - 437/3465*e^2*t^5 + 481/20790*e*t^6"
+              " - 19/10395*t^7 - 2248/17325*e*t^7 + 193/10395*t^8"
+              " - 21649/155925*t^9"),
+    (12, 2): ({(0, 0): 1, (1, 0): -5, (2, 0): 10, (3, 0): -10, (4, 0): 5,
+               (5, 0): -1, (5, 1): -672, (6, 1): 896, (7, 1): -352,
+               (9, 2): -30048},
+              "e^5 - 5/12*e^4*t + 5/66*e^3*t^2 - 1/132*e^2*t^3"
+              " + 1/2376*e*t^4 - 1/95040*t^5 - 7/990*e^2*t^5 + 2/1485*e*t^6"
+              " - 1/11340*t^7 - 313/831600*t^9"),
+}
+
+
+@pytest.mark.parametrize("g,r", sorted(LATER_STEPS))
+def test_recursion_later_steps_pinned(g, r):
+    coeffs, rendered = LATER_STEPS[(g, r)]
+    rs = recursion_unique(g, r)
+    assert rs.a_coeffs == coeffs
+    assert render_bipoly(rs.recursion[0]) == rendered
 
 
 def test_recursion_first_step_closed_form():
@@ -297,6 +335,16 @@ def test_oracle_dimensions():
         assert ring.params.r == r
 
 
+@pytest.mark.parametrize("r,dim", [(3, 592), (2, 2063)])
+def test_genus_seven_dimension_by_weyl_orbits(r, dim):
+    # four routes to one number: the quotient, the Betti numbers, the
+    # presentation, and one pairing block per Weyl orbit of weights
+    assert betti_total(7, 6 - r) == dim
+    assert build_oracle(7, r).dim == dim
+    assert presentation_dimension(7, r) == dim
+    assert weyl_orbit_dimension(7, r) == dim
+
+
 def test_oracle_negative_twist_same_ring():
     assert build_oracle(3, -2) is build_oracle(3, -2)
     assert build_oracle(3, -2).dim == build_oracle(3, 2).dim
@@ -399,17 +447,17 @@ def test_deformation_witness_genus_five():
     assert comps[1] == theta_power(5, 3).scale(F(2, 15))
 
 
-# -- polynomial helpers ----------------------------------------------------
+# -- Taylor coefficients --------------------------------------------------
 
 def test_poly_shift_is_substitution():
-    # p(x) = x^2 - 3x, shift by 2: (x+2)^2 - 3(x+2) = x^2 + x - 2
-    p = (F(0), F(-3), F(1))
-    assert poly_shift(p, 2) == (F(-2), F(1), F(1))
-    assert poly_shift(p, 0) == p
+    # p(x) = x^2 - 3x; the coefficients of p(x + c) are the Taylor
+    # coefficients of p at c: (x+2)^2 - 3(x+2) = x^2 + x - 2
+    p = [(2, 1), (1, -3)]
 
+    def shifted(c):
+        return [sum(a * _taylor(e, j, c) for e, a in p) for j in range(3)]
 
-def test_poly_arithmetic_cancellation():
-    p = (F(1), F(2))
-    q = (F(-1), F(-2))
-    assert poly_add(p, q) == ()
-    assert poly_mul(p, ()) == ()
+    assert shifted(2) == [-2, 1, 1]
+    assert shifted(0) == [0, -3, 1]
+    # past the degree the coefficient is an exact 0, not a float power
+    assert _taylor(1, 2, 2) == 0 and type(_taylor(1, 2, 2)) is int

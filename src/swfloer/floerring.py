@@ -16,9 +16,9 @@ the radical of the sphere-invariant pairing.  This module provides:
   - recursion_free_check: the unconstrained one-step solution of the
     same recursion, verified identically.  Both compare polynomials one
     Taylor coefficient at a time (_taylor), with no polynomial type;
-  - deformation_components: the splitting of a product into its base
-    cup-product term and the higher corrections along degrees stepping
-    by 2|r|.
+  - deformation_components: the splitting of a homogeneous class, such
+    as one product f1 ^ f2, into its base cup-product term and the higher
+    corrections along degrees stepping by 2|r|.
 
 The oracle route and the presentation route are independent; their
 agreement is exercised by the test suite, never assumed.
@@ -38,7 +38,7 @@ from .errors import (
     SingularMatrix,
     VerificationFailure,
 )
-from .extalg import ExtClass, ExtMono, primitive_dim
+from .extalg import ExtClass, primitive_dim
 from .qlinalg import QMatrix, invert
 from .swpair import PairingQuotient, SphereParams
 from .symprod import (
@@ -162,11 +162,13 @@ def recursion_free_check(g: int, r: int) -> bool:
     """Verify the unconstrained solution of the recursion.
 
     With p_1 = -x^(g-alpha-r) (x+1)^(alpha+r), that is
-    a_i1 = -C(alpha+r, i), and p_m = 0 for m >= 2: p_0(x+m) + p_1(x+m-1)
-    must vanish identically for every m >= 2, and p_1 must agree with
-    -p_0(x+1) to the required Taylor order at x = 1.  Both polynomials
-    are lists of (exponent, coefficient) pairs, compared one Taylor
-    coefficient at a time.
+    a_i1 = -C(alpha+r, i), and p_m = 0 for m >= 2, the recursion asks
+    that p_0(x+m) + p_1(x+m-1) vanish for every m >= 2 and that p_1
+    agree with -p_0(x+1) to order d - alpha - r at x = 1.  Both follow
+    from the one identity q(x) = p_0(x+1) + p_1(x) = 0, of degree <= g:
+    the first are its shifts q(x+m-1), the second its Taylor coefficients
+    at x = 1.  So only q is tested, one Taylor coefficient at a time.  The
+    check confirms the closed form, not the solver (_run_recursion).
     """
     g, r = _check_gr(g, r)
     d = g - 1 - r
@@ -174,15 +176,9 @@ def recursion_free_check(g: int, r: int) -> bool:
     n = d - a + 1
     p0 = [(g - i, (-1) ** i * comb(n, i)) for i in range(n + 1)]
     p1 = [(g - i, -comb(a + r, i)) for i in range(a + r + 1)]
-
-    def coeff(p, j, at):
-        return sum(c * _taylor(e, j, at) for e, c in p)
-
-    for m in range(2, d + 4):
-        if any(coeff(p0, j, m) + coeff(p1, j, m - 1) for j in range(g + 1)):
-            return False
-    return not any(coeff(p1, j, 1) + coeff(p0, j, 2)
-                   for j in range(d - a - r + 1))
+    return not any(sum(c * _taylor(e, j, 1) for e, c in p0)
+                   + sum(c * _taylor(e, j, 0) for e, c in p1)
+                   for j in range(g + 1))
 
 
 # -- sector presentation ---------------------------------------------------
@@ -228,36 +224,28 @@ def build_oracle(g: int, r: int) -> PairingQuotient:
     return PairingQuotient(SphereParams(g, r))
 
 
-def deformation_components(ring: PairingQuotient, f1: ExtClass,
-                           f2: ExtClass) -> List[ExtClass]:
-    """Split a product into its ladder components.
+def deformation_components(ring: PairingQuotient,
+                           z: ExtClass) -> List[ExtClass]:
+    """Split the class of a homogeneous z into its ladder components.
 
-    For homogeneous inputs of degrees i and j the product decomposes as
-    Phi_0 + Phi_1 + ... with Phi_m of degree i + j + 2m|r|; Phi_0 is the
-    symmetric-product cup product.  A nonzero component at any other
-    degree would contradict the mod-2|r| grading and raises.
+    For z of degree q the class decomposes as Phi_0 + Phi_1 + ... with
+    Phi_m of degree q + 2m|r|; for z = f1 ^ f2, Phi_0 is the
+    symmetric-product cup product of f1 and f2.  A nonzero component at
+    any other degree would contradict the mod-2|r| grading and raises.
 
-    A zero factor has no degree and no ladder: the result is [].
+    A zero class has no degree and no ladder: the result is [].  A class
+    of mixed degree raises DomainError.
     """
-    if f1.is_zero() or f2.is_zero():
+    base = z.degree()
+    if base is None:
         return []
-    base = f1.degree() + f2.degree()
-    N = ring.params.N
-    cap = 2 * ring.d
-    vec = ring.product_vector(f1, f2)
-    by_degree: Dict[int, List[Tuple[ExtMono, Fraction]]] = {}
-    for c, label, e in zip(vec, ring.labels, ring.basis):
-        if c:
-            by_degree.setdefault(label.degree, []).extend(
-                (m, c * ce) for m, ce in e.terms.items())
-    ladder = []
-    q = base
-    while q <= cap:
-        ladder.append(q)
-        q += N
-    for q in by_degree:
-        if q not in ladder:
-            raise VerificationFailure(
-                f"product component at degree {q} off the ladder "
-                f"{ladder} at (g,r)=({ring.g},{ring.params.r})")
-    return [ExtClass(ring.g, by_degree.get(q, ())) for q in ladder]
+    vec = ring.nf_vector(z)
+    ladder = list(range(base, 2 * ring.d + 1, ring.params.N))
+    off = {L.degree for c, L in zip(vec, ring.labels) if c} - set(ladder)
+    if off:
+        raise VerificationFailure(
+            f"product component at degree {min(off)} off the ladder "
+            f"{ladder} at (g,r)=({ring.g},{ring.params.r})")
+    return [ring.element_from_vector([c if L.degree == q else 0
+                                      for c, L in zip(vec, ring.labels)])
+            for q in ladder]

@@ -185,13 +185,8 @@ def cap_table(g: int, r: int, k: int) -> SWTable:
     ring = build_oracle(g, r)
     if not (0 <= k < ring.dim):
         raise DomainError(f"basis index {k} out of range 0..{ring.dim - 1}")
-    target = ring.basis[k]
-    values: Dict[ExtMono, Fraction] = {}
-    for m in ring.monos:
-        v = class_pair(ring.params, ExtClass.monomial(g, m), target)
-        if v:
-            values[m] = v
-    return SWTable(g, r, values)
+    pairs = {m: ring.pair_basis(ExtClass.monomial(g, m)) for m in ring.monos}
+    return SWTable(g, r, {m: p[k] for m, p in pairs.items() if k in p})
 
 
 def h1_simple_glue(g: int, r: int, s1: Fraction, s2: Fraction) -> Fraction:

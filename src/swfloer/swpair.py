@@ -29,11 +29,13 @@ certifies its canonical basis one weight at a time: the rank of the
 pairing between the monomials of weight lambda and those of weight
 -lambda must equal the number of basis elements of weight lambda
 (``weight_ranks``).  Its Gram blocks come from the primitive
-factorisation of the basis (``PairingQuotient.label_pair``).  The
-radical itself, homogeneous pieces degree by degree and then the
-mixed-degree corrections, is ``_radical``, computed only when asked for
-by the quotient's ``radical_*`` methods.  Both it and ``weight_ranks``
-read the weight blocks of the monomial pairing from ``_pair_blocks``.
+factorisation of the basis (``PairingQuotient.label_pair``).  A class
+meets the basis in one place, ``PairingQuotient.pair_basis``, behind
+normal forms, radical membership and ``killed_by``.  The radical itself,
+homogeneous pieces degree by degree and then the mixed-degree
+corrections, is ``_radical``, computed only when asked for by the
+quotient's ``radical_*`` methods.  Both it and ``weight_ranks`` read the
+weight blocks of the monomial pairing from ``_pair_blocks``.
 """
 
 from __future__ import annotations
@@ -350,8 +352,22 @@ class PairingQuotient:
 
     # -- pairing and Gram --------------------------------------------------
 
-    def pairing(self, u: ExtClass, v: ExtClass) -> Fraction:
-        return class_pair(self.params, u, v, self.n_filter)
+    def pair_basis(self, z: ExtClass) -> Dict[int, Fraction]:
+        """{l: pair(z, e_l)} over the canonical basis, zeros left out.
+        mono_pair vanishes unless the two torus weights are opposite
+        (gram-structure certifies this), so each monomial m of z meets only
+        the terms of the e_l of weight -wt(m)."""
+        if z.g != self.g:
+            raise DomainError(f"genus mismatch: class {z.g}, ring {self.g}")
+        out: Dict[int, Fraction] = {}
+        for m1, c1 in z.terms.items():
+            for l in self.weight_groups.get(
+                    tuple(-x for x in mono_weight(self.g, m1)), ()):
+                for m2, c2 in self.basis[l].terms.items():
+                    p = mono_pair(self.params, m1, m2, self.n_filter)
+                    if p:
+                        out[l] = out.get(l, ZERO) + c1 * c2 * p
+        return {l: v for l, v in out.items() if v}
 
     def label_pair(self, L1: BasisLabel, L2: BasisLabel) -> Fraction:
         """The pairing of two basis elements, from their labels.
@@ -428,20 +444,15 @@ class PairingQuotient:
 
     def nf_vector(self, z: ExtClass) -> Tuple[Fraction, ...]:
         """Coefficients of the class of z on the canonical basis: the
-        weight-lambda part of z, paired against the weight -lambda basis
-        elements, times that block's inverse (zero if no basis element
-        has weight lambda)."""
-        if z.g != self.g:
-            raise DomainError(f"genus mismatch: class {z.g}, ring {self.g}")
-        monos = list(z.terms)
+        pairings pair_basis(z) with the basis elements of weight -lambda,
+        times the inverse of the weight-lambda block (zero where z pairs
+        to zero with every basis element of weight -lambda)."""
+        values = self.pair_basis(z)
         coeffs = [ZERO] * self.dim
-        for w, idx in by_weight(self.g, monos).items():
-            if w not in self._weight_blocks:
-                continue
+        for w in {tuple(-x for x in self._weight_of[l]) for l in values}:
             cols, rows, _, inv = self._weight_blocks[w]
-            part = ExtClass(self.g, {monos[j]: z.terms[monos[j]] for j in idx})
-            values = [self.pairing(part, self.basis[l]) for l in rows]
-            for i, c in zip(cols, inv.apply(values)):
+            for i, c in zip(cols, inv.apply([values.get(l, ZERO)
+                                             for l in rows])):
                 coeffs[i] = c
         return tuple(coeffs)
 
@@ -449,16 +460,13 @@ class PairingQuotient:
         return self.element_from_vector(self.nf_vector(z))
 
     def is_in_radical(self, z: ExtClass) -> bool:
-        return not any(self.nf_vector(z))
+        return not self.pair_basis(z)
 
     def element_from_vector(self, vec: Sequence[Fraction]) -> ExtClass:
         return ExtClass(self.g, ((m, c * ce) for c, e in zip(vec, self.basis)
                                  if c for m, ce in e.terms.items()))
 
     # -- ring structure ----------------------------------------------------
-
-    def product_vector(self, u: ExtClass, v: ExtClass) -> Tuple[Fraction, ...]:
-        return self.nf_vector(wedge(u, v))
 
     def product(self, u: ExtClass, v: ExtClass) -> ExtClass:
         return self.nf_class(wedge(u, v))
@@ -468,9 +476,9 @@ class PairingQuotient:
         """Canonical basis of {phi : a . phi = 0 for every monomial a in
         factors}.  The pairing is nondegenerate, so the rows pair(a ^ e_i, e_l)
         have the row space, and the canonical kernel, of the multiplication
-        maps.  For e_i of weight w only the e_l of weight -(w + wt a) pair
-        nonzero (gram-structure certifies this), so each weight is reduced
-        alone, stopping at full rank."""
+        maps, and each is read from pair_basis(a ^ e_i).  For e_i of weight w
+        only the e_l of weight -(w + wt a) pair nonzero, so each weight is
+        reduced alone, stopping at full rank."""
         blocks = []
         for w, cols in self.weight_groups.items():
             rows = []
@@ -478,9 +486,10 @@ class PairingQuotient:
                 partners = self.weight_groups.get(tuple(
                     -x - y for x, y in zip(w, mono_weight(self.g, a))), ())
                 if partners and len(rows) < len(cols):
-                    images = [wedge(ExtClass.monomial(self.g, a), self.basis[i])
-                              for i in cols]
-                    rows.extend([self.pairing(z, self.basis[l]) for z in images]
+                    images = [self.pair_basis(wedge(
+                        ExtClass.monomial(self.g, a), self.basis[i]))
+                        for i in cols]
+                    rows.extend([p.get(l, ZERO) for p in images]
                                 for l in partners)
                     rows = [v for v in rref(QMatrix(rows, len(cols)))[0].to_rows()
                             if any(v)]

@@ -71,7 +71,7 @@ def product_row_kernel(ring):
     for cols in ring.weight_groups.values():
         rows = []
         for gcls in gammas:
-            images = [ring.product_vector(gcls, ring.basis[i]) for i in cols]
+            images = [ring.nf_vector(wedge(gcls, ring.basis[i])) for i in cols]
             rows.extend(row for row in zip(*images) if any(row))
         blocks.append((cols, rows))
     return tuple(block_kernel(blocks, ring.dim)[0])
@@ -83,7 +83,7 @@ def product_row_ideal(ring):
     the reference for glueadj.in_vanishing_cycle_ideal, which reads the
     pairing-orthogonal of the annihilator."""
     gammas = [ExtClass.gamma(ring.g, j) for j in range(1, ring.d + 1)]
-    products = (ring.product_vector(a, e) for a in gammas for e in ring.basis)
+    products = (ring.nf_vector(wedge(a, e)) for a in gammas for e in ring.basis)
     rows = [list(v) for v in products if any(v)]
     if not rows:
         return QMatrix([], ring.dim), ()

@@ -7,6 +7,8 @@ claim breaks.  All comparisons are exact rational identities; there are
 no tolerances anywhere.
 """
 
+import hashlib
+
 import pytest
 
 from swfloer.cli import CHECKS, SWEEP, main
@@ -71,3 +73,19 @@ def test_12_genus_six_verifies(r, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == sum(per_case for _, _, per_case in CHECKS) == 9
     assert all(line.startswith("PASS ") for line in lines), lines
+
+
+# sha256 and byte length of the whole stdout.  Every change to the
+# package keeps these outputs byte for byte; d = 0 at (6, 5), so that
+# genus-6 case is cheap.
+VERIFY_DIGESTS = {
+    "verify --all": ["14a09a71e977fa6fb22ee3b0e3b49d1cf6d8ff3617544fa250e373c09142c5a4", 252],
+    "verify --g 6 --r 5": ["f8033ebfe85fa59b268ad4dc4b406476378d452c924bfe7fd996020d28dc3d9c", 206],
+}
+
+
+@pytest.mark.parametrize("line", sorted(VERIFY_DIGESTS))
+def test_13_verify_output_is_byte_identical(line, capsys):
+    assert main(line.split()) == 0
+    out = capsys.readouterr().out.encode()
+    assert [hashlib.sha256(out).hexdigest(), len(out)] == VERIFY_DIGESTS[line]

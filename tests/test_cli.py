@@ -330,7 +330,7 @@ def test_glue_answer_longer_than_the_int_string_limit(tmp_path, capsys):
 def test_gram_structure_compares_every_block_entry_with_the_pairing(
         monkeypatch, capsys):
     # the ring's blocks come from the primitive factorisation; one wrong
-    # entry below the antidiagonal must fail against class_pair
+    # entry below the antidiagonal must fail against pair_basis
     ring = build_oracle(3, 1)
     degs = ring.basis_degrees()
     entries = list(ring.block_entries())

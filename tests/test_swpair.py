@@ -438,11 +438,11 @@ def test_structure_constants_match_products():
     G = dense_gram(Q)
     for i in (0, 3, 9):
         for j in (0, 5):
-            vec = Q.product_vector(Q.basis[i], Q.basis[j])
             prod = wedge(Q.basis[i], Q.basis[j])
+            vec = Q.nf_vector(prod)
             for l in range(Q.dim):
                 assert sum(c * G[k, l] for k, c in enumerate(vec) if c) \
-                    == Q.pairing(prod, Q.basis[l]), (i, j, l)
+                    == class_pair(Q.params, prod, Q.basis[l]), (i, j, l)
 
 
 def test_gram_vanishes_off_weight_blocks():
@@ -520,6 +520,18 @@ def classes_g3():
         lambda d: ExtClass(3, d))
 
 
+@st.composite
+def ring_and_class(draw):
+    """The Floer ring or the level -1 ring at one of four cases, and a
+    class of degree up to 2d + 2 on it."""
+    g, r = draw(st.sampled_from([(3, 1), (4, 2), (5, 1), (5, 2)]))
+    Q = quotient(g, r) if draw(st.booleans()) else ring_oracle(g, g - 1 - r)
+    monos = st.sampled_from(monomials_up_to(g, 2 * Q.d + 2))
+    coeff = st.fractions(
+        min_value=-4, max_value=4, max_denominator=3).filter(lambda q: q != 0)
+    return Q, ExtClass(g, draw(st.dictionaries(monos, coeff, max_size=6)))
+
+
 class TestQuotientProperties:
     @settings(max_examples=60, deadline=None)
     @given(classes_g3())
@@ -544,7 +556,17 @@ class TestQuotientProperties:
         vec = Q.nf_vector(u)
         for l in range(Q.dim):
             assert sum(c * G[k, l] for k, c in enumerate(vec)) \
-                == Q.pairing(u, Q.basis[l])
+                == class_pair(Q.params, u, Q.basis[l])
+
+    @settings(max_examples=60, deadline=None)
+    @given(ring_and_class())
+    def test_pair_basis_is_class_pair_with_each_basis_element(self, Qz):
+        Q, z = Qz
+        got = Q.pair_basis(z)
+        assert all(got.values())
+        for l, e in enumerate(Q.basis):
+            assert got.get(l, 0) == class_pair(Q.params, z, e, Q.n_filter), l
+        assert Q.is_in_radical(z) == (not any(Q.nf_vector(z)))
 
     @settings(max_examples=60, deadline=None)
     @given(classes_g3(), classes_g3())

@@ -346,7 +346,8 @@ def embed_bipoly(g: int, poly) -> ExtClass:
 #     g7      a gamma generator (indices strictly increasing as written)
 #     t, t^2  powers of the theta alias (expands to theta_class(g))
 # A class expression is a '+'/'-' separated sum of [rational '*'] monomials.
-# Rationals print as p/q with '/q' omitted when q == 1.
+# Rationals print as p/q with '/q' omitted when q == 1.  One render_sum
+# writes the signed sums of render_class and symprod.render_bipoly.
 
 _FACTOR_RE = re.compile(r"^(1|x(\^\d+)?|t(\^\d+)?|g\d+)$")
 _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
@@ -410,13 +411,12 @@ def render_mono(m: ExtMono) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def render_class(u: ExtClass) -> str:
-    """Canonical text of a class; terms in canonical monomial order."""
-    if u.is_zero():
-        return "0"
+def render_sum(terms: Iterable[Tuple[str, Fraction]]) -> str:
+    """The signed sum of (monomial text, coefficient) pairs, in the given
+    order: the magnitude is written unless it is 1 on a monomial other
+    than '1', terms are joined by ' + ' and ' - ', and no terms give '0'."""
     chunks: List[str] = []
-    for m, c in u.sorted_terms():
-        mono = render_mono(m)
+    for mono, c in terms:
         mag = abs(c)
         if mono == "1":
             body = render_frac(mag)
@@ -428,7 +428,12 @@ def render_class(u: ExtClass) -> str:
             chunks.append(body if c > 0 else f"-{body}")
         else:
             chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(chunks)
+    return " ".join(chunks) if chunks else "0"
+
+
+def render_class(u: ExtClass) -> str:
+    """Canonical text of a class; terms in canonical monomial order."""
+    return render_sum((render_mono(m), c) for m, c in u.sorted_terms())
 
 
 def parse_factors(g: int, text: str) -> Tuple[ExtMono, int]:
@@ -459,7 +464,7 @@ def parse_factors(g: int, text: str) -> Tuple[ExtMono, int]:
                 raise DomainError(
                     f"gamma indices must be strictly increasing, got g{gammas[-1]} before g{idx}")
             gammas.append(idx)
-    if saw_unit and (xexp or tpow or gammas) and len(text.split("*")) > 1:
+    if saw_unit and (xexp or tpow or gammas):
         raise DomainError(f"'1' cannot be combined with other factors: {text!r}")
     return ExtMono(xexp, tuple(gammas)), tpow
 
@@ -478,35 +483,18 @@ def parse_class(g: int, text: str) -> ExtClass:
     text = text.strip()
     if not text:
         raise DomainError("empty expression")
-    # split on +/- at top level (no parentheses in the grammar)
-    tokens = re.findall(r"[+-]|[^+-]+", text.replace(" ", ""))
+    # each term follows a run of signs, worth -1 per '-' (no parentheses)
+    s = text.replace(" ", "")
     terms: List[Tuple[ExtMono, Fraction]] = []
-    sign = 1
-    expect_term = True
-    for tok in tokens:
-        if tok in "+-":
-            if expect_term and tok == "-":
-                sign = -sign
-                continue
-            if expect_term:
-                continue
-            sign = -1 if tok == "-" else 1
-            expect_term = True
-            continue
-        if not expect_term:
-            raise DomainError(f"two terms without operator near {tok!r}")
-        coeff = Fraction(sign)
-        body = tok
+    for signs, body in re.findall(r"([+-]*)([^+-]+)", s):
+        coeff = Fraction((-1) ** signs.count("-"))
         parts = body.split("*", 1)
         if _RAT_RE.match(parts[0]) and parts[0] != "1":
             coeff *= parse_frac(parts[0])
             body = parts[1] if len(parts) > 1 else "1"
-        elif parts[0] == "1" and len(parts) == 1:
-            body = "1"
         terms.extend((m, c * coeff)
                      for m, c in parse_monomial(g, body).terms.items())
-        sign = 1
-        expect_term = False
-    if expect_term:
+    # checked last, so that a bad term before it keeps its own message
+    if s[-1] in "+-":
         raise DomainError(f"dangling operator in {text!r}")
     return ExtClass(g, terms)

@@ -58,12 +58,6 @@ def _taylor(e: int, j: int, at: int) -> int:
 
 # -- the recursion ---------------------------------------------------------
 
-def _check_gr(g: int, r: int) -> Tuple[int, int]:
-    """(g, |r|), once SphereParams has accepted the pair."""
-    SphereParams(g, r)
-    return g, abs(r)
-
-
 @lru_cache(maxsize=None)
 def _run_recursion(g: int, r: int):
     """Solve the constrained recursion at one genus, on one coefficient
@@ -81,8 +75,8 @@ def _run_recursion(g: int, r: int):
     Returns (coefficients a_im by (i, m), and the assembled order-zero
     relation as a BiPoly).
     """
-    g, r = _check_gr(g, r)
-    d = g - 1 - r
+    d = SphereParams(g, r).d
+    r = abs(r)
     a0 = alpha_of(d, 0)
     n = d - a0 + 1
     coeffs: Dict[Tuple[int, int], Fraction] = {
@@ -121,17 +115,13 @@ class RelationSet:
     recursion: Dict[int, BiPoly]
     a_coeffs: Dict[Tuple[int, int], Fraction]
 
-    @property
-    def d(self) -> int:
-        return self.g - 1 - abs(self.r)
-
 
 def tilde_relation(g: int, r: int, k: int) -> BiPoly:
     """Closed-form relation: the symmetric-product relation polynomial
     minus the tail sum_{i<=alpha+|r|} C(alpha+|r|, i)/(i! C(g-k, i))
     eta^(alpha+|r|-i) theta^i; equals 1 at k = d+1."""
-    g, r = _check_gr(g, r)
-    d = g - 1 - r
+    d = SphereParams(g, r).d
+    r = abs(r)
     if k < 0 or k > d + 1:
         raise DomainError(f"k must satisfy 0 <= k <= d+1, got k={k}")
     if k == d + 1:
@@ -148,8 +138,8 @@ def recursion_unique(g: int, r: int) -> RelationSet:
     """Solve the recursion at every needed genus and assemble both
     relation families; the order-k recursion relation is the order-zero
     relation one genus down per prefactor degree."""
-    g, r = _check_gr(g, r)
-    d = g - 1 - r
+    d = SphereParams(g, r).d
+    r = abs(r)
     coeffs, _ = _run_recursion(g, r)
     tilde = {k: tilde_relation(g, r, k) for k in range(d + 2)}
     recursion = {k: _run_recursion(g - k, r)[1] for k in range(d + 1)}
@@ -170,8 +160,8 @@ def recursion_free_check(g: int, r: int) -> bool:
     at x = 1.  So only q is tested, one Taylor coefficient at a time.  The
     check confirms the closed form, not the solver (_run_recursion).
     """
-    g, r = _check_gr(g, r)
-    d = g - 1 - r
+    d = SphereParams(g, r).d
+    r = abs(r)
     a = alpha_of(d, 0)
     n = d - a + 1
     p0 = [(g - i, (-1) ** i * comb(n, i)) for i in range(n + 1)]
@@ -193,8 +183,8 @@ def presentation_quotient(g: int, r: int, k: int) -> SectorQuotient:
     {eta^a theta^b : 2a+b <= d-k}.  Every monomial of weight 2d+1 is
     divisible by eta^(d+1) or theta^(d+1), hence the weight cap 2d+1.
     """
-    g, r = _check_gr(g, r)
-    d = g - 1 - r
+    d = SphereParams(g, r).d
+    r = abs(r)
     if k < 0 or k > d:
         raise DomainError(f"k must satisfy 0 <= k <= d, got k={k}")
     gens = [
@@ -209,8 +199,8 @@ def presentation_quotient(g: int, r: int, k: int) -> SectorQuotient:
 def presentation_dimension(g: int, r: int) -> int:
     """Total dimension of the presentation: primitive dimension times
     sector dimension, summed over prefactor degrees."""
-    g, r = _check_gr(g, r)
-    d = g - 1 - r
+    d = SphereParams(g, r).d
+    r = abs(r)
     return sum(primitive_dim(g, k) * presentation_quotient(g, r, k).dim
                for k in range(d + 1))
 

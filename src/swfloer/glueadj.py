@@ -245,13 +245,10 @@ def kernel_pairing_rank(g: int, r: int) -> int:
 # -- vanishing witnesses ---------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _cycle_equations(g: int, r: int) -> Tuple[Dict[int, Fraction], ...]:
-    """Sparse rows of pair(., phi) for phi in a basis of the subspace
-    {phi : gamma_j . phi = 0 for j <= d}."""
+def _cycle_subspace(g: int, r: int) -> Tuple[Tuple[Fraction, ...], ...]:
+    """Basis of {phi : gamma_j . phi = 0 for j <= d}, in oracle coordinates."""
     ring = build_oracle(g, r)
-    rows = (ring.gram_apply(phi) for phi in ring.killed_by(
-        [ExtMono(0, (j,)) for j in range(1, ring.d + 1)]))
-    return tuple({i: y for i, y in enumerate(row) if y} for row in rows)
+    return ring.killed_by([ExtMono(0, (j,)) for j in range(1, ring.d + 1)])
 
 
 def in_vanishing_cycle_ideal(g: int, r: int, vec: Sequence[Fraction]) -> bool:
@@ -259,9 +256,8 @@ def in_vanishing_cycle_ideal(g: int, r: int, vec: Sequence[Fraction]) -> bool:
     gamma_1..gamma_d.  As pair(gamma_j e_i, phi) = +-pair(e_i, gamma_j phi)
     and the pairing is nondegenerate, the ideal is the pairing-orthogonal of
     {phi : gamma_j . phi = 0 for j <= d}."""
-    nonzero = [(i, x) for i, x in enumerate(vec) if x]
-    return not any(sum((row[i] * x for i, x in nonzero if i in row), ZERO)
-                   for row in _cycle_equations(g, r))
+    ring = build_oracle(g, r)
+    return not any(ring.pair_vectors(vec, phi) for phi in _cycle_subspace(g, r))
 
 
 def vanishing_witness(g: int, r: int, m: ExtMono) -> bool:

@@ -29,9 +29,11 @@ certifies its canonical basis one weight at a time: the rank of the
 pairing between the monomials of weight lambda and those of weight
 -lambda must equal the number of basis elements of weight lambda
 (``weight_ranks``).  Its Gram blocks come from the primitive
-factorisation of the basis (``PairingQuotient.label_pair``).  A class
-meets the basis in one place, ``PairingQuotient.pair_basis``, behind
-normal forms, radical membership and ``killed_by``.  The radical itself,
+factorisation of the basis (``PairingQuotient.label_pair``), and
+``PairingQuotient.pair_vectors`` is the one place that applies them (or
+their inverses) to coordinate vectors.  A class meets the basis in one
+place, ``PairingQuotient.pair_basis``, behind normal forms, radical
+membership and ``killed_by``.  The radical itself,
 homogeneous pieces degree by degree and then the mixed-degree
 corrections, is ``_radical``, computed only when asked for by the
 quotient's ``radical_*`` methods.  Both it and ``weight_ranks`` read the
@@ -387,23 +389,16 @@ class PairingQuotient:
         return primitive_pair(self.g, L1.k, L1.w, L2.w) * \
             Fraction((-n) ** j, factorial(j))
 
-    def gram_apply(self, v: Sequence[Fraction],
-                   inverse: bool = False) -> List[Fraction]:
-        """The vector m v, m the Gram matrix (its inverse with inverse=True),
-        read from the weight blocks whose columns meet a nonzero of v."""
+    def pair_vectors(self, u: Sequence[Fraction], v: Sequence[Fraction],
+                     inverse: bool = False) -> Fraction:
+        """The form sum u_i m_ij v_j on coordinate vectors, m the Gram
+        matrix (its inverse with inverse=True), read from the weight blocks
+        whose columns meet a nonzero of v."""
         keys = {self._weight_of[j] for j, x in enumerate(v) if x}
         if not inverse:  # column j of a Gram block has the opposite weight
             keys = {tuple(-x for x in w) for w in keys}
-        out = [ZERO] * self.dim
-        for i, j, m in self._entries(keys, inverse):
-            if v[j]:
-                out[i] += m * v[j]
-        return out
-
-    def pair_vectors(self, u: Sequence[Fraction], v: Sequence[Fraction],
-                     inverse: bool = False) -> Fraction:
-        """The form sum u_i v_j m_ij on coordinate vectors."""
-        return sum(x * y for x, y in zip(u, self.gram_apply(v, inverse)))
+        return sum((u[i] * m * v[j] for i, j, m in self._entries(keys, inverse)
+                    if v[j] and u[i]), ZERO)
 
     def block_entries(self, inverse: bool = False
                       ) -> Iterator[Tuple[int, int, Fraction]]:

@@ -32,7 +32,7 @@ from math import comb
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import DomainError, VerificationFailure
-from .extalg import _RAT_RE, parse_frac, parse_int, primitive_dim, render_frac
+from .extalg import _RAT_RE, parse_frac, parse_int, primitive_dim, render_sum
 from .qlinalg import QMatrix, frac, reduce_by_rref, rref, sum_terms
 from .swpair import PairingQuotient, SphereParams
 
@@ -127,24 +127,15 @@ _BP_FACTOR_RE = re.compile(r"(e|t)(?:\^(\d+))?$")
 
 def render_bipoly(p: BiPoly) -> str:
     """Canonical text: terms by weight then eta exponent descending."""
-    if p.is_zero():
-        return "0"
-    parts: List[str] = []
+    terms = []
     for (a, b), c in p.sorted_terms():
         factors = []
         if a:
             factors.append("e" if a == 1 else f"e^{a}")
         if b:
             factors.append("t" if b == 1 else f"t^{b}")
-        body = "*".join(factors) if factors else "1"
-        mag = abs(c)
-        if mag != 1 or not factors:
-            body = f"{render_frac(mag)}*{body}" if factors else render_frac(mag)
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+        terms.append(("*".join(factors) if factors else "1", c))
+    return render_sum(terms)
 
 
 def parse_bipoly(text: str) -> BiPoly:
@@ -166,24 +157,19 @@ def parse_bipoly(text: str) -> BiPoly:
             chunk = chunk[1:].strip()
         coeff = ONE
         a = b = 0
-        saw_factor = False
         for factor in chunk.split("*"):
             factor = factor.strip()
             if _RAT_RE.fullmatch(factor):
                 coeff *= parse_frac(factor)
-                saw_factor = True
                 continue
             m = _BP_FACTOR_RE.match(factor)
             if not m:
                 raise DomainError(f"bad factor {factor!r} in {text!r}")
-            saw_factor = True
             exp = parse_int(m.group(2)) if m.group(2) else 1
             if m.group(1) == "e":
                 a += exp
             else:
                 b += exp
-        if not saw_factor:
-            raise DomainError(f"empty term in {text!r}")
         if neg:
             coeff = -coeff
         terms.append(((a, b), coeff))

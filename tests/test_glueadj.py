@@ -350,16 +350,17 @@ def test_ideal_membership_matches_product_rows():
             want = not any(reduce_by_rref(vec, reduced, pivots))
             assert in_vanishing_cycle_ideal(g, r, vec) == want, (g, r, vec)
             answers.add(want)
-        assert len(glueadj._cycle_equations(g, r)) == ring.dim - len(pivots)
+        assert len(glueadj._cycle_subspace(g, r)) == ring.dim - len(pivots)
     assert answers == {True, False}
 
 
 def test_vanishing_witness_raises_outside_the_ideal(monkeypatch):
-    # with every coordinate as an equation the ideal is zero, so a nonzero
-    # monomial above degree d is reported outside it
+    # with every unit vector in the subspace the ideal, its pairing-
+    # orthogonal, is zero, so a nonzero monomial above degree d is
+    # reported outside it
     ring = build_oracle(3, 1)
-    monkeypatch.setattr(glueadj, "_cycle_equations", lambda g, r: tuple(
-        {i: F(1)} for i in range(ring.dim)))
+    monkeypatch.setattr(glueadj, "_cycle_subspace", lambda g, r: tuple(
+        tuple(F(int(i == j)) for j in range(ring.dim)) for i in range(ring.dim)))
     with pytest.raises(VerificationFailure):
         vanishing_witness(3, 1, ExtMono(1, ()))
 

@@ -489,20 +489,22 @@ def test_pair_vectors_is_class_pair_of_the_classes():
 
 
 def test_gram_apply_equals_the_dense_product_on_sparse_vectors():
-    # gram_apply reads only the blocks that meet a nonzero of v; the
-    # dense table is computed without weights, and G (G^-1 v) = v checks
-    # the inverse without inverting the table
+    # pair_vectors reads only the blocks that meet a nonzero of v, and
+    # pair_vectors(e_i, v) is (G v)_i; the dense table is computed without
+    # weights, and G (G^-1 v) = v checks the inverse without inverting it
     rng = random.Random(17)
     for g, r in DIMS_BY_DEGREE:
         Q = quotient(g, r)
         G = dense_gram(Q)
+        units = [[F(int(i == j)) for j in range(Q.dim)] for i in range(Q.dim)]
         for _ in range(6):
             v = [F(0)] * Q.dim
             for j in rng.sample(range(Q.dim), min(Q.dim, rng.randint(1, 3))):
                 v[j] = F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
-            assert Q.gram_apply(v) == list(G.apply(v)), (g, r)
-            assert G.apply(Q.gram_apply(v, inverse=True)) == tuple(v), (g, r)
-        assert Q.gram_apply([F(0)] * Q.dim) == [F(0)] * Q.dim
+            assert [Q.pair_vectors(e, v) for e in units] == list(G.apply(v)), (g, r)
+            assert G.apply([Q.pair_vectors(e, v, inverse=True)
+                            for e in units]) == tuple(v), (g, r)
+        assert not any(Q.pair_vectors(e, [F(0)] * Q.dim) for e in units)
 
 
 def test_quotient_gram_invertible():

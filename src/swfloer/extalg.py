@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
 from math import comb
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError, GenusMismatch
 from .qlinalg import block_kernel, frac, sum_terms
@@ -347,7 +347,8 @@ def embed_bipoly(g: int, poly) -> ExtClass:
 #     t, t^2  powers of the theta alias (expands to theta_class(g))
 # A class expression is a '+'/'-' separated sum of [rational '*'] monomials.
 # Rationals print as p/q with '/q' omitted when q == 1.  One render_sum
-# writes the signed sums of render_class and symprod.render_bipoly.
+# writes the signed sums of render_class and symprod.render_bipoly, and
+# one signed_terms splits those that parse_class and parse_bipoly read.
 
 _FACTOR_RE = re.compile(r"^(1|x(\^\d+)?|t(\^\d+)?|g\d+)$")
 _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
@@ -478,23 +479,29 @@ def parse_monomial(g: int, text: str) -> ExtClass:
     return out
 
 
-def parse_class(g: int, text: str) -> ExtClass:
-    """A sum of rational multiples of monomials, e.g. '3/2*x^2*g1*g5 - t + 1'."""
+def signed_terms(text: str) -> Iterator[Tuple[int, str]]:
+    """The (sign, term text) pairs of a '+'/'-' separated sum."""
     text = text.strip()
     if not text:
         raise DomainError("empty expression")
     # each term follows a run of signs, worth -1 per '-' (no parentheses)
     s = text.replace(" ", "")
-    terms: List[Tuple[ExtMono, Fraction]] = []
     for signs, body in re.findall(r"([+-]*)([^+-]+)", s):
-        coeff = Fraction((-1) ** signs.count("-"))
+        yield (-1) ** signs.count("-"), body
+    # checked last, so that a bad term before it keeps its own message
+    if s[-1] in "+-":
+        raise DomainError(f"dangling operator in {text!r}")
+
+
+def parse_class(g: int, text: str) -> ExtClass:
+    """A sum of rational multiples of monomials, e.g. '3/2*x^2*g1*g5 - t + 1'."""
+    terms: List[Tuple[ExtMono, Fraction]] = []
+    for sign, body in signed_terms(text):
+        coeff = Fraction(sign)
         parts = body.split("*", 1)
         if _RAT_RE.match(parts[0]) and parts[0] != "1":
             coeff *= parse_frac(parts[0])
             body = parts[1] if len(parts) > 1 else "1"
         terms.extend((m, c * coeff)
                      for m, c in parse_monomial(g, body).terms.items())
-    # checked last, so that a bad term before it keeps its own message
-    if s[-1] in "+-":
-        raise DomainError(f"dangling operator in {text!r}")
     return ExtClass(g, terms)

@@ -19,7 +19,8 @@ from the Jacobian.  This module computes:
     pairing at its top level, for cross-checking the presentation.
 
 Polynomials in eta and theta are BiPoly values; the text form writes
-eta as `e` and theta as `t`, for example "e - 1/3*t".
+eta as `e` and theta as `t`, for example "e - 1/3*t", and its sums are
+split into terms by extalg.signed_terms, as class expressions are.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from math import comb
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .errors import DomainError, VerificationFailure
-from .extalg import _RAT_RE, parse_frac, parse_int, primitive_dim, render_sum
+from .extalg import _RAT_RE, parse_frac, parse_int, primitive_dim, render_sum, signed_terms
 from .qlinalg import QMatrix, frac, reduce_by_rref, rref, sum_terms
 from .swpair import PairingQuotient, SphereParams
 
@@ -141,21 +142,9 @@ def render_bipoly(p: BiPoly) -> str:
 def parse_bipoly(text: str) -> BiPoly:
     """Parse the render_bipoly grammar: sums of rational multiples of
     products of `e^a` and `t^b`."""
-    s = text.strip()
-    if not s:
-        raise DomainError("empty polynomial text")
-    s = s.replace("-", "+-")
-    if s.startswith("+-"):
-        s = s[1:]
     terms: List[Tuple[Tuple[int, int], Fraction]] = []
-    for chunk in s.split("+"):
-        chunk = chunk.strip()
-        if not chunk:
-            raise DomainError(f"dangling sign in {text!r}")
-        neg = chunk.startswith("-")
-        if neg:
-            chunk = chunk[1:].strip()
-        coeff = ONE
+    for sign, chunk in signed_terms(text):
+        coeff = Fraction(sign)
         a = b = 0
         for factor in chunk.split("*"):
             factor = factor.strip()
@@ -170,8 +159,6 @@ def parse_bipoly(text: str) -> BiPoly:
                 a += exp
             else:
                 b += exp
-        if neg:
-            coeff = -coeff
         terms.append(((a, b), coeff))
     return BiPoly(terms)
 

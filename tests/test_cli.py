@@ -34,10 +34,20 @@ def test_sp_relation_output(capsys):
 
 
 def test_sp_nf_output(capsys):
-    code, out, _ = run(capsys, "sp-nf", "--g", "3", "--d", "1", "--k", "0",
-                       "--expr", "e")
-    assert code == 0
-    assert out == "1/3*t\n"
+    # an expression that starts with a sign is passed as --expr=...
+    for expr in [("--expr", "e"), ("--expr=--e",)]:
+        code, out, _ = run(capsys, "sp-nf", "--g", "3", "--d", "1",
+                           "--k", "0", *expr)
+        assert code == 0, expr
+        assert out == "1/3*t\n", expr
+
+
+def test_sp_nf_dangling_operator(capsys):
+    code, out, err = run(capsys, "sp-nf", "--g", "3", "--d", "1", "--k", "0",
+                         "--expr=e+")
+    assert code == 2
+    assert out == ""
+    assert err == "DomainError: dangling operator in 'e+'\n"
 
 
 def test_floer_relations_tilde(capsys):

@@ -177,8 +177,7 @@ def _cmd_verify(args, out) -> int:
     else:
         if args.g is None or args.r is None:
             raise DomainError("verify needs --g and --r, or --all")
-        SphereParams(args.g, abs(args.r))
-        cases = [(args.g, abs(args.r))]
+        cases = [(args.g, SphereParams(args.g, args.r).r)]
         names = [name for name, _, per_case in CHECKS if per_case]
     ok = True
     for name, fn, _ in CHECKS:

@@ -499,8 +499,9 @@ def parse_class(g: int, text: str) -> ExtClass:
     for sign, body in signed_terms(text):
         coeff = Fraction(sign)
         parts = body.split("*", 1)
-        if _RAT_RE.match(parts[0]) and parts[0] != "1":
-            coeff *= parse_frac(parts[0])
+        first = parts[0].strip()
+        if _RAT_RE.fullmatch(first) and first != "1":
+            coeff *= parse_frac(first)
             body = parts[1] if len(parts) > 1 else "1"
         terms.extend((m, c * coeff)
                      for m, c in parse_monomial(g, body).terms.items())

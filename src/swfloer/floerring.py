@@ -75,8 +75,8 @@ def _run_recursion(g: int, r: int):
     Returns (coefficients a_im by (i, m), and the assembled order-zero
     relation as a BiPoly).
     """
-    d = SphereParams(g, r).d
-    r = abs(r)
+    params = SphereParams(g, r)
+    d, r = params.d, params.r
     a0 = alpha_of(d, 0)
     n = d - a0 + 1
     coeffs: Dict[Tuple[int, int], Fraction] = {
@@ -120,8 +120,8 @@ def tilde_relation(g: int, r: int, k: int) -> BiPoly:
     """Closed-form relation: the symmetric-product relation polynomial
     minus the tail sum_{i<=alpha+|r|} C(alpha+|r|, i)/(i! C(g-k, i))
     eta^(alpha+|r|-i) theta^i; equals 1 at k = d+1."""
-    d = SphereParams(g, r).d
-    r = abs(r)
+    params = SphereParams(g, r)
+    d, r = params.d, params.r
     if k < 0 or k > d + 1:
         raise DomainError(f"k must satisfy 0 <= k <= d+1, got k={k}")
     if k == d + 1:
@@ -138,8 +138,8 @@ def recursion_unique(g: int, r: int) -> RelationSet:
     """Solve the recursion at every needed genus and assemble both
     relation families; the order-k recursion relation is the order-zero
     relation one genus down per prefactor degree."""
-    d = SphereParams(g, r).d
-    r = abs(r)
+    params = SphereParams(g, r)
+    d, r = params.d, params.r
     coeffs, _ = _run_recursion(g, r)
     tilde = {k: tilde_relation(g, r, k) for k in range(d + 2)}
     recursion = {k: _run_recursion(g - k, r)[1] for k in range(d + 1)}
@@ -160,8 +160,8 @@ def recursion_free_check(g: int, r: int) -> bool:
     at x = 1.  So only q is tested, one Taylor coefficient at a time.  The
     check confirms the closed form, not the solver (_run_recursion).
     """
-    d = SphereParams(g, r).d
-    r = abs(r)
+    params = SphereParams(g, r)
+    d, r = params.d, params.r
     a = alpha_of(d, 0)
     n = d - a + 1
     p0 = [(g - i, (-1) ** i * comb(n, i)) for i in range(n + 1)]
@@ -184,7 +184,6 @@ def presentation_quotient(g: int, r: int, k: int) -> SectorQuotient:
     divisible by eta^(d+1) or theta^(d+1), hence the weight cap 2d+1.
     """
     d = SphereParams(g, r).d
-    r = abs(r)
     if k < 0 or k > d:
         raise DomainError(f"k must satisfy 0 <= k <= d, got k={k}")
     gens = [
@@ -199,8 +198,8 @@ def presentation_quotient(g: int, r: int, k: int) -> SectorQuotient:
 def presentation_dimension(g: int, r: int) -> int:
     """Total dimension of the presentation: primitive dimension times
     sector dimension, summed over prefactor degrees."""
-    d = SphereParams(g, r).d
-    r = abs(r)
+    params = SphereParams(g, r)
+    d, r = params.d, params.r
     return sum(primitive_dim(g, k) * presentation_quotient(g, r, k).dim
                for k in range(d + 1))
 
@@ -209,8 +208,8 @@ def presentation_dimension(g: int, r: int) -> int:
 
 @lru_cache(maxsize=None)
 def build_oracle(g: int, r: int) -> PairingQuotient:
-    """V_r as a quotient by the radical of the full level sum; negative r
-    is folded onto |r| by the conjugation symmetry of the invariants."""
+    """V_r as a quotient by the radical of the full level sum; SphereParams
+    folds negative r onto |r| (the conjugation symmetry of the invariants)."""
     return PairingQuotient(SphereParams(g, r))
 
 

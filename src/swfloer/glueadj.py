@@ -53,7 +53,7 @@ class SWTable:
     __slots__ = ("g", "r", "values")
 
     def __init__(self, g: int, r: int, values: Dict[ExtMono, Fraction]):
-        cap = 2 * SphereParams(g, abs(r)).d
+        cap = 2 * SphereParams(g, r).d
         clean: Dict[ExtMono, Fraction] = {}
         for m, v in values.items():
             _check_mono(g, m)
@@ -79,9 +79,6 @@ class SWTable:
             if v is not None:
                 total += c * v
         return total
-
-    def is_zero(self) -> bool:
-        return not self.values
 
 
 def parse_sw_table(text: str) -> SWTable:
@@ -146,7 +143,6 @@ def load_sw_table(path: str) -> SWTable:
 
 # -- the universal matrix --------------------------------------------------
 
-@lru_cache(maxsize=None)
 def universal_matrix(g: int, r: int) -> Tuple[Tuple[BasisLabel, ...], QMatrix]:
     """Inverse Gram matrix of the Floer pairing on the canonical basis.
 
@@ -167,7 +163,7 @@ def glue(g: int, r: int, t1: SWTable, t2: SWTable) -> Fraction:
     over rim-torus classes.
     """
     for t, side in ((t1, "first"), (t2, "second")):
-        if t.g != g or abs(t.r) != abs(r):
+        if SphereParams(t.g, t.r) != SphereParams(g, r):
             raise GenusMismatch(
                 f"{side} table is for (g, r) = ({t.g}, {t.r}), "
                 f"gluing asked for ({g}, {r})")
@@ -197,7 +193,7 @@ def h1_simple_glue(g: int, r: int, s1: Fraction, s2: Fraction) -> Fraction:
     x-power ladder: (-1)^(d/2) C(g-1, d/2) s1 s2 for d even, and zero
     for d odd (the ladder then has no middle rung).
     """
-    d = SphereParams(g, abs(r)).d
+    d = SphereParams(g, r).d
     c = 0 if d % 2 else (-1) ** (d // 2) * comb(g - 1, d // 2)
     return c * frac(s1) * frac(s2)
 
@@ -209,13 +205,13 @@ def c_coefficient(g: int, r: int) -> Fraction:
     against the independent route: the self-pairing of the embedded
     order-one relation must be exactly its reciprocal.
     """
-    params = SphereParams(g, abs(r))
+    params = SphereParams(g, r)
     d = params.d
     if d % 2:
         raise DomainError(f"coefficient defined only for even d, got d={d}")
     a = d // 2
     c = Fraction((-1) ** a * comb(g - 1, a))
-    rel = embed_bipoly(g, tilde_relation(g, abs(r), 1))
+    rel = embed_bipoly(g, tilde_relation(g, r, 1))
     self_pair = class_pair(params, rel, rel)
     if self_pair != 1 / c:
         raise VerificationFailure(
@@ -226,7 +222,6 @@ def c_coefficient(g: int, r: int) -> Fraction:
 
 # -- the gamma-annihilated subspace ----------------------------------------
 
-@lru_cache(maxsize=None)
 def kernel_K_basis(g: int, r: int) -> Tuple[Tuple[Fraction, ...], ...]:
     """Basis of {phi : gamma_j . phi = 0 for all j}, in oracle coordinates."""
     return build_oracle(g, r).killed_by(

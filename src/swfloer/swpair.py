@@ -2,8 +2,10 @@
 they induce on the model algebra.
 
 For a genus-g surface and a twisting level r with 1 <= |r| <= g-1, the
-spin-c structures of interest on Sigma x S^2 are indexed by an integer n,
-and the invariant of a class z in A(Sigma) at level n is nonzero only when
+spin-c structures of interest on Sigma x S^2 are indexed by an integer n.
+SphereParams folds the sign of r, since V_-r is V_r by the conjugation
+symmetry of the invariants, so every function here sees r = |r| > 0.  The
+invariant of a class z in A(Sigma) at level n is nonzero only when
 
     n <= -1,   deg z = 2*D,   D = r*n + g - 1 >= 0.
 
@@ -68,7 +70,8 @@ ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class SphereParams:
-    """Genus and twisting level; fixes d = g-1-|r| and the ladder step 2|r|."""
+    """Genus and twisting level, stored as |r| (V_-r is V_r by conjugation);
+    fixes d = g-1-|r| and the ladder step 2|r|."""
 
     g: int
     r: int
@@ -79,18 +82,20 @@ class SphereParams:
         if not (1 <= abs(self.r) <= self.g - 1):
             raise DomainError(
                 f"twisting level must satisfy 1 <= |r| <= g-1, got r={self.r} at g={self.g}")
+        object.__setattr__(self, "r", abs(self.r))
 
     @property
     def d(self) -> int:
-        return self.g - 1 - abs(self.r)
+        return self.g - 1 - self.r
 
     @property
     def N(self) -> int:
-        return 2 * abs(self.r)
+        return 2 * self.r
 
 
 def contributing_level(params: SphereParams, total_degree: int) -> Optional[int]:
-    """The unique level n <= -1 with total_degree = 2(r n + g - 1), if any."""
+    """The unique level n <= -1 with total_degree = 2(r n + g - 1), if any;
+    params given -r give the level at |r|, since SphereParams stores |r|."""
     if total_degree < 0 or total_degree % 2:
         return None
     num = total_degree // 2 - (params.g - 1)
@@ -116,7 +121,8 @@ def _gamma_eval(g: int, gammas: Tuple[int, ...], n: int) -> Fraction:
 
 
 def sw_sphere(params: SphereParams, n: int, z: ExtClass) -> Fraction:
-    """Invariant of z at level n; zero unless the degree window matches."""
+    """Invariant of z at level n; zero unless the degree window matches.
+    params given -r give the invariant at |r|, since SphereParams stores |r|."""
     if z.g != params.g:
         raise DomainError(f"class has genus {z.g}, params have {params.g}")
     if n >= 0:
@@ -133,7 +139,7 @@ def sw_sphere(params: SphereParams, n: int, z: ExtClass) -> Fraction:
 
 def mono_pair(params: SphereParams, m1: ExtMono, m2: ExtMono,
               n_filter: Optional[int] = None) -> Fraction:
-    """class_pair on two monomials."""
+    """class_pair on two monomials; params given -r pair at |r|."""
     n = contributing_level(params, m1.degree + m2.degree)
     if n is None or (n_filter is not None and n != n_filter):
         return ZERO
@@ -149,7 +155,8 @@ def class_pair(params: SphereParams, z1: ExtClass, z2: ExtClass,
     sw_sphere(n, z1 ^ z2).
 
     Only levels with 0 <= r n + g - 1 <= deg(z1 z2)/2 can contribute, and
-    for homogeneous inputs at most one does.
+    for homogeneous inputs at most one does.  params given -r pair at |r|,
+    since SphereParams stores |r|.
     """
     if z1.g != params.g or z2.g != params.g:
         raise DomainError("genus mismatch against params")
@@ -188,7 +195,7 @@ def _pair_blocks(params: SphereParams, n_filter: Optional[int],
 def _radical(params: SphereParams, n_filter: Optional[int]):
     """The radical of the pairing: the z of degree <= 2d with
     pair(z, m) = 0 for every monomial m of degree <= 2d.  params has
-    r > 0 (PairingQuotient folds the sign).
+    r > 0 (SphereParams folds the sign).
 
     Returns (pieces, mixed).  pieces[q] is the homogeneous piece of
     degree q, the canonical kernel basis over monos_of_degree(g, q); its
@@ -234,7 +241,6 @@ def weight_ranks(params: SphereParams, n_filter: Optional[int] = None
     increasing order the elimination fills in and takes several times
     longer.
     """
-    params = SphereParams(params.g, abs(params.r))
     monos = sorted(monomials_up_to(params.g, 2 * params.d),
                    key=lambda m: -m.degree)
     return {w: rank(block, len(idx))
@@ -304,8 +310,6 @@ class PairingQuotient:
     """
 
     def __init__(self, params: SphereParams, n_filter: Optional[int] = None):
-        if params.r < 0:
-            params = SphereParams(params.g, -params.r)
         self.params = params
         self.g = params.g
         self.d = params.d

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
 from math import comb
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
@@ -294,7 +293,6 @@ class SectorQuotient:
         return BiPoly({ab: c for ab, c in zip(self._cols, vec) if c})
 
 
-@lru_cache(maxsize=None)
 def sector_quotient(g: int, d: int, k: int) -> SectorQuotient:
     """Sector k of the presentation of H*(s^d Sigma) over the primitive
     sectors.
@@ -332,7 +330,6 @@ def sector_normal_form(g: int, d: int, k: int, p: BiPoly) -> BiPoly:
 
 # -- independent ring oracle -----------------------------------------------
 
-@lru_cache(maxsize=None)
 def ring_oracle(g: int, d: int) -> PairingQuotient:
     """The full ring from the fundamental-class pairing.
 

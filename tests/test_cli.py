@@ -348,8 +348,8 @@ def test_gram_structure_compares_every_block_entry_with_the_pairing(
              if degs[i] + degs[j] < 2 * ring.d)
     i, j, v = entries[k]
     entries[k] = (i, j, v + 1)
-    # the inverse entries stay true, or the lru-cached universal matrix
-    # that gluing-cap builds from them would keep the doctored Gram
+    # only the Gram entries are doctored: the inverse entries, from which
+    # gluing-cap builds the universal matrix, stay true
     block_entries = ring.block_entries
     monkeypatch.setattr(ring, "block_entries", lambda inverse=False:
                         block_entries(True) if inverse else iter(entries))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swfloer.cli import SWEEP
 from swfloer.errors import DomainError, VerificationFailure
 from swfloer.extalg import (
     ExtClass,
@@ -74,6 +75,39 @@ def test_contributing_level_examples():
     # at most one level fits a given total degree, by construction
     p41 = SphereParams(4, 1)
     assert [contributing_level(p41, t) for t in (0, 2, 4, 6)] == [-3, -2, -1, None]
+
+
+def test_params_fold_the_sign_of_the_twist():
+    # V_-r is V_r: SphereParams stores |r|, so every function of the
+    # params gives the |r| values at -r
+    nonzero = 0
+    for g, r in SWEEP:
+        plus, minus = SphereParams(g, r), SphereParams(g, -r)
+        assert minus == plus and minus.r == r, (g, r)
+        rng = random.Random(100 * g + r)
+        # sums of x^a theta^b and single gammas pair to nonzero values far
+        # more often than sums of random monomials do
+        pool = [wedge(ExtClass.x_power(g, a), theta_power(g, b))
+                for a in range(g) for b in range(g - a)]
+        pool += [ExtClass.gamma(g, i) for i in range(1, 2 * g + 1)]
+        for _ in range(20):
+            z1, z2 = (sum((rng.choice(pool).scale(F(rng.randint(-3, 3), rng.randint(1, 3)))
+                           for _ in range(3)), ExtClass.zero(g))
+                      for _ in range(2))
+            for n_filter in (None, -1):
+                value = class_pair(plus, z1, z2, n_filter)
+                assert class_pair(minus, z1, z2, n_filter) == value, (g, r)
+                nonzero += bool(value)
+            for m1 in z1.terms:
+                for m2 in z2.terms:
+                    assert mono_pair(minus, m1, m2) == mono_pair(plus, m1, m2)
+            z = wedge(z1, z2)
+            for n in range(-g, 1):
+                assert sw_sphere(minus, n, z) == sw_sphere(plus, n, z), (g, r, n)
+        for total in range(4 * g + 1):
+            assert contributing_level(minus, total) == \
+                contributing_level(plus, total), (g, r, total)
+    assert nonzero >= 40  # not vacuous: 42 of the 400 pairings are nonzero
 
 
 # -- invariant values ------------------------------------------------------

@@ -12,7 +12,10 @@ The package computes, over Q with no floating point anywhere:
     ideals, and the deformation splitting of its product (floerring),
   * the universal gluing matrix, simple-gluing coefficients, and
     adjunction-inequality verdicts (glueadj),
-  * a command line front end (cli).
+  * the invariant suite behind ``swfloer verify`` and the acceptance
+    tests (checks),
+  * a command line front end (cli), whose commands each import only the
+    modules they run.
 
 Everything is desk-scale and exact: the verification sweep covers genus
 2 to 5, and the command line goes up to genus 6, checked per case with

@@ -345,7 +345,8 @@ def embed_bipoly(g: int, poly) -> ExtClass:
 #     x, x^3  powers of x
 #     g7      a gamma generator (indices strictly increasing as written)
 #     t, t^2  powers of the theta alias (expands to theta_class(g))
-# A class expression is a '+'/'-' separated sum of [rational '*'] monomials.
+# A class expression is a '+'/'-' separated sum of products of these
+# factors and rationals, which may stand anywhere in the product.
 # Rationals print as p/q with '/q' omitted when q == 1.  One render_sum
 # writes the signed sums of render_class and symprod.render_bipoly, and
 # one signed_terms splits those that parse_class and parse_bipoly read.
@@ -494,15 +495,20 @@ def signed_terms(text: str) -> Iterator[Tuple[int, str]]:
 
 
 def parse_class(g: int, text: str) -> ExtClass:
-    """A sum of rational multiples of monomials, e.g. '3/2*x^2*g1*g5 - t + 1'."""
+    """A sum of rational multiples of monomials, e.g. '3/2*x^2*g1*g5 - t + 1'.
+    A rational (1 included) may stand anywhere in a product, and several
+    multiply, as in symprod.parse_bipoly; the other factors form the
+    monomial, and a product of rationals alone is a multiple of 1."""
     terms: List[Tuple[ExtMono, Fraction]] = []
     for sign, body in signed_terms(text):
         coeff = Fraction(sign)
-        parts = body.split("*", 1)
-        first = parts[0].strip()
-        if _RAT_RE.fullmatch(first) and first != "1":
-            coeff *= parse_frac(first)
-            body = parts[1] if len(parts) > 1 else "1"
-        terms.extend((m, c * coeff)
-                     for m, c in parse_monomial(g, body).terms.items())
+        factors = []
+        for factor in body.split("*"):
+            rational = factor.strip()
+            if _RAT_RE.fullmatch(rational):
+                coeff *= parse_frac(rational)
+            else:
+                factors.append(factor)
+        mono = parse_monomial(g, "*".join(factors) or "1")
+        terms.extend((m, c * coeff) for m, c in mono.terms.items())
     return ExtClass(g, terms)

@@ -26,11 +26,10 @@ agreement is exercised by the test suite, never assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .errors import (
     DomainError,
@@ -105,8 +104,7 @@ def _run_recursion(g: int, r: int):
         for (i, mm), c in coeffs.items())
 
 
-@dataclass(frozen=True)
-class RelationSet:
+class RelationSet(NamedTuple):
     """Both relation families for one (g, r), plus the recursion data."""
 
     g: int
@@ -173,7 +171,6 @@ def recursion_free_check(g: int, r: int) -> bool:
 
 # -- sector presentation ---------------------------------------------------
 
-@lru_cache(maxsize=None)
 def presentation_quotient(g: int, r: int, k: int) -> SectorQuotient:
     """One primitive sector of the presentation.
 
@@ -182,8 +179,14 @@ def presentation_quotient(g: int, r: int, k: int) -> SectorQuotient:
     relations eta^(d+1) and theta^(d+1), on the basis
     {eta^a theta^b : 2a+b <= d-k}.  Every monomial of weight 2d+1 is
     divisible by eta^(d+1) or theta^(d+1), hence the weight cap 2d+1.
+    One sector is built per (g, |r|, k).
     """
-    d = SphereParams(g, r).d
+    return _presentation_sector(SphereParams(g, r), k)
+
+
+@lru_cache(maxsize=None)
+def _presentation_sector(params: SphereParams, k: int) -> SectorQuotient:
+    g, r, d = params.g, params.r, params.d
     if k < 0 or k > d:
         raise DomainError(f"k must satisfy 0 <= k <= d, got k={k}")
     gens = [
@@ -206,11 +209,16 @@ def presentation_dimension(g: int, r: int) -> int:
 
 # -- the oracle ring -------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def build_oracle(g: int, r: int) -> PairingQuotient:
     """V_r as a quotient by the radical of the full level sum; SphereParams
-    folds negative r onto |r| (the conjugation symmetry of the invariants)."""
-    return PairingQuotient(SphereParams(g, r))
+    folds negative r onto |r| (the conjugation symmetry of the invariants),
+    so one ring is built per (g, |r|)."""
+    return _oracle(SphereParams(g, r))
+
+
+@lru_cache(maxsize=None)
+def _oracle(params: SphereParams) -> PairingQuotient:
+    return PairingQuotient(params)
 
 
 def deformation_components(ring: PairingQuotient,

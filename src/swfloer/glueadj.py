@@ -14,11 +14,10 @@ in three strengths: the plain degree bound, the invariant-dimension
 bound, and the vanishing-cycle bound.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError, GenusMismatch, VerificationFailure
 from .extalg import (
@@ -274,8 +273,17 @@ def vanishing_witness(g: int, r: int, m: ExtMono) -> bool:
 
 # -- adjunction verdicts ---------------------------------------------------
 
-@dataclass(frozen=True)
-class AdjunctionQuery:
+class _QueryFields(NamedTuple):
+    g: int
+    sigma_sq: int
+    c1_dot: int
+    deg_b: int = 0
+    b_plus: int = 2
+    l: Optional[int] = None
+    d_s: Optional[int] = None
+
+
+class AdjunctionQuery(_QueryFields):
     """One adjunction question about an embedded surface.
 
     g: genus of the surface (>= 2); sigma_sq: its self-intersection
@@ -287,36 +295,31 @@ class AdjunctionQuery:
     known (requires the simple-type hypothesis on the manifold side).
     """
 
-    g: int
-    sigma_sq: int
-    c1_dot: int
-    deg_b: int = 0
-    b_plus: int = 2
-    l: Optional[int] = None
-    d_s: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.g < 2:
-            raise DomainError(f"genus must be at least 2, got {self.g}")
-        if self.sigma_sq < 0:
+    def __new__(cls, *args, **kwargs):
+        q = super().__new__(cls, *args, **kwargs)
+        if q.g < 2:
+            raise DomainError(f"genus must be at least 2, got {q.g}")
+        if q.sigma_sq < 0:
             raise DomainError(
-                f"self-intersection must be nonnegative, got {self.sigma_sq}")
-        if self.deg_b < 0:
+                f"self-intersection must be nonnegative, got {q.sigma_sq}")
+        if q.deg_b < 0:
             raise DomainError(f"insertion degree must be nonnegative")
-        if self.b_plus < 1:
-            raise DomainError(f"b_plus must be at least 1, got {self.b_plus}")
-        if abs(self.c1_dot) + self.sigma_sq <= 0:
+        if q.b_plus < 1:
+            raise DomainError(f"b_plus must be at least 1, got {q.b_plus}")
+        if abs(q.c1_dot) + q.sigma_sq <= 0:
             raise DomainError(
                 "torsion case: |c1 . surface| + self-intersection must be "
                 "positive")
-        if self.l is not None and self.l < 0:
+        if q.l is not None and q.l < 0:
             raise DomainError(f"vanishing-cycle count must be nonnegative")
-        if self.d_s is not None and self.d_s < 0:
+        if q.d_s is not None and q.d_s < 0:
             raise DomainError(f"invariant dimension must be nonnegative")
+        return q
 
 
-@dataclass(frozen=True)
-class AdjunctionVerdict:
+class AdjunctionVerdict(NamedTuple):
     excluded: bool
     form: Optional[str] = None
 

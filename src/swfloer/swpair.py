@@ -44,7 +44,6 @@ weight blocks of the monomial pairing from ``_pair_blocks``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -68,21 +67,24 @@ from .qlinalg import QMatrix, block_kernel, invert, rank, rref
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class SphereParams:
-    """Genus and twisting level, stored as |r| (V_-r is V_r by conjugation);
-    fixes d = g-1-|r| and the ladder step 2|r|."""
-
+class _SphereFields(NamedTuple):
     g: int
     r: int
 
-    def __post_init__(self):
-        if self.g < 2:
-            raise DomainError(f"genus must be >= 2, got {self.g}")
-        if not (1 <= abs(self.r) <= self.g - 1):
+
+class SphereParams(_SphereFields):
+    """Genus and twisting level, stored as |r| (V_-r is V_r by conjugation);
+    fixes d = g-1-|r| and the ladder step 2|r|."""
+
+    __slots__ = ()
+
+    def __new__(cls, g: int, r: int) -> SphereParams:
+        if g < 2:
+            raise DomainError(f"genus must be >= 2, got {g}")
+        if not (1 <= abs(r) <= g - 1):
             raise DomainError(
-                f"twisting level must satisfy 1 <= |r| <= g-1, got r={self.r} at g={self.g}")
-        object.__setattr__(self, "r", abs(self.r))
+                f"twisting level must satisfy 1 <= |r| <= g-1, got r={r} at g={g}")
+        return super().__new__(cls, g, abs(r))
 
     @property
     def d(self) -> int:

@@ -34,7 +34,6 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 from .errors import DomainError, VerificationFailure
 from .extalg import _RAT_RE, parse_frac, parse_int, primitive_dim, render_sum, signed_terms
 from .qlinalg import QMatrix, frac, reduce_by_rref, rref, sum_terms
-from .swpair import PairingQuotient, SphereParams
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -344,4 +343,7 @@ def ring_oracle(g: int, d: int) -> PairingQuotient:
         raise DomainError(
             f"oracle needs 0 <= d <= g-2 (got d={d}, g={g}); "
             f"at d = g-1 only the presentation route exists")
+    # imported here, so that the symmetric-product commands never load
+    # the pairing engine
+    from .swpair import PairingQuotient, SphereParams
     return PairingQuotient(SphereParams(g, g - 1 - d), n_filter=-1)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from swfloer import cli
+from swfloer import checks, cli
 from swfloer.cli import main
 from swfloer.floerring import build_oracle
 from swfloer.glueadj import universal_matrix
@@ -392,8 +392,10 @@ def test_verify_all_rejects_case_flags(capsys):
 def test_gram_structure_certificate_reads_the_weights(monkeypatch):
     # with a wrong weight function the gamma-set certificate must fail:
     # the volume monomial reaches the volume but gets a nonzero weight
+    # the check lives in the checks module and reads its names there;
+    # cli.check_gram_structure is that same function
     assert cli.check_gram_structure([(3, 1)]) == []
-    monkeypatch.setattr(cli, "mono_weight",
+    monkeypatch.setattr(checks, "mono_weight",
                         lambda g, m: (len(m.gammas),) + (0,) * (g - 1))
     fails = cli.check_gram_structure([(3, 1)])
     assert fails and "nonzero off the weight blocks" in fails[0]
@@ -421,7 +423,7 @@ def test_gluing_cap_catches_a_wrong_universal_matrix(where, monkeypatch):
     rows[i][j] += 1
     k = next(k for k, v in enumerate(dense_gram(ring).row(j)) if v)
     assert cli.check_gluing_cap([(g, r)]) == []
-    monkeypatch.setattr(cli, "universal_matrix",
+    monkeypatch.setattr(checks, "universal_matrix",
                         lambda g, r: (labels, QMatrix(rows, ring.dim)))
     assert cli.check_gluing_cap([(g, r)]) == [
         f"({g},{r}): cap identity fails at ({i},{k})"]

@@ -353,6 +353,16 @@ def test_oracle_negative_twist_same_ring():
     assert build_oracle(3, -2).params == SphereParams(3, 2)
 
 
+def test_one_ring_and_one_sector_per_absolute_twist():
+    # SphereParams folds the sign of r before either cache is read, so a
+    # caller mixing signs builds each ring and each sector once
+    for g, r in [(3, 1), (4, 2), (5, 1)]:
+        assert build_oracle(g, -r) is build_oracle(g, r)
+        for k in range(g - r):
+            assert presentation_quotient(g, -r, k) is \
+                presentation_quotient(g, r, k)
+
+
 def test_product_top_degree_vanishes():
     ring = build_oracle(3, 1)
     x = ExtClass.x_power(3, 1)

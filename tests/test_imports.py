@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, the
-quotient route's modules import nothing from the presentation route, and
-only swpair reads the weight-block layout of a PairingQuotient.
+quotient route's modules import nothing from the presentation route,
+only swpair reads the weight-block layout of a PairingQuotient, no module
+imports dataclasses, and each command loads only the modules it runs.
 
 The package __init__ only re-exports, and ``from __future__`` imports
 are directives, so both are exempt.  A name counts as used when it
@@ -10,6 +11,10 @@ is needed.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,7 +52,7 @@ def test_module_uses_every_import(path):
 # relation polynomials, so that the two constructions of the ring stay
 # independent checks of each other.
 LOWER = ("qlinalg", "extalg", "swpair")
-UPPER = {"symprod", "floerring", "glueadj", "cli"}
+UPPER = {"symprod", "floerring", "glueadj", "checks", "cli"}
 
 
 def package_imports(source: str):
@@ -103,3 +108,67 @@ def test_scan_finds_a_block_layout_read():
                          ids=lambda p: p.name)
 def test_only_swpair_reads_the_block_layout(path):
     assert block_layout_reads(path.read_text(encoding="utf-8")) == []
+
+
+# dataclasses imports inspect, ast, dis and tokenize, a large share of the
+# cold start of a one-shot command; records are NamedTuples instead.
+def top_level_imports(source: str):
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.add((node.module or "").split(".")[0])
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_imports_no_dataclasses(path):
+    assert "dataclasses" not in top_level_imports(
+        path.read_text(encoding="utf-8"))
+
+
+# -- the modules each command loads ----------------------------------------
+#
+# Each probe is a fresh interpreter started with -B, as a cold command
+# runs; in this process every module is loaded already, which would hide
+# a handler that needs a module it does not import.
+
+PROBE = """
+import io, json, sys
+from contextlib import redirect_stdout
+from swfloer import cli
+if sys.argv[1:]:
+    with redirect_stdout(io.StringIO()):
+        code = cli.main(sys.argv[1:])
+    if code:
+        sys.exit(code)
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] == "swfloer")))
+"""
+
+
+def loaded_modules(*argv):
+    """The swfloer modules a fresh interpreter loads to import the cli and
+    run the command argv, if one is given."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    p = subprocess.run([sys.executable, "-B", "-c", PROBE, *argv], env=env,
+                       capture_output=True, text=True, timeout=60)
+    assert p.returncode == 0, p.stderr
+    return set(json.loads(p.stdout))
+
+
+def test_importing_the_cli_loads_no_computation():
+    assert loaded_modules() == {"swfloer", "swfloer.cli", "swfloer.errors"}
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["sp-nf", "--g", "3", "--d", "1", "--k", "0", "--expr", "e"],
+     {"swpair", "floerring", "glueadj", "checks"}),
+    (["floer-dim", "--g", "3", "--r", "1"], {"glueadj", "checks"}),
+    (["gram", "--g", "3", "--r", "1"], {"glueadj", "checks"}),
+], ids=["sp-nf", "floer-dim", "gram"])
+def test_command_loads_only_what_it_runs(argv, absent):
+    assert {f"swfloer.{name}" for name in absent} & loaded_modules(*argv) \
+        == set()

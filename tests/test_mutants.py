@@ -41,8 +41,8 @@ CACHES = {
     "extalg.theta_class", "extalg.theta_power", "extalg.primitive_basis",
     "swpair._gamma_eval", "swpair.monos_of_degree", "swpair._radical",
     "swpair.primitive_pair",
-    "floerring._run_recursion", "floerring.presentation_quotient",
-    "floerring.build_oracle",
+    "floerring._run_recursion", "floerring._presentation_sector",
+    "floerring._oracle",
     "glueadj._cycle_subspace",
 }
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swfloer.cli import _random_homogeneous
+from swfloer.checks import _random_homogeneous
 from swfloer.errors import DomainError
 from swfloer.extalg import ExtClass, ExtMono, monomials_up_to, render_class
 from swfloer.floerring import build_oracle

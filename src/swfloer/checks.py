@@ -277,11 +277,17 @@ def check_gluing_cap(cases) -> List[str]:
 def check_high_degree_vanishing(cases) -> List[str]:
     """Monomials above twice the symmetric-product dimension die: all of
     them for the four lowest degrees past the cap (plus the pure-x ladder)
-    at genus up to four, a seeded sample of 500 at genus five."""
+    at genus up to four, a seeded sample of 500 at genus five.  As a
+    negative control, no basis element may be in the radical, so a
+    radical test that says yes to everything fails here."""
     fails = []
     for g, r in cases:
         ring = build_oracle(g, r)
         cap = 2 * ring.d
+        for i, e in enumerate(ring.basis):
+            if ring.is_in_radical(e):
+                fails.append(f"({g},{r}): basis element {i} is in the radical")
+                break
         monos: List[ExtMono] = []
         if g <= 4:
             for q in range(cap + 1, cap + 5):

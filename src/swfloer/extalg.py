@@ -93,13 +93,12 @@ def _check_mono(g: int, m: ExtMono) -> None:
 
 
 def _merge_sign(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, Optional[Tuple[int, ...]]]:
-    """Merge two increasing gamma tuples; (sign, merged) or (0, None) on overlap."""
+    """Merge two increasing gamma tuples; (sign, merged) or (0, None) on
+    overlap, found by the merge itself."""
     if not a:
         return 1, b
     if not b:
         return 1, a
-    if set(a) & set(b):
-        return 0, None
     merged = []
     i = j = 0
     inversions = 0
@@ -107,11 +106,13 @@ def _merge_sign(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, Optional[T
         if a[i] < b[j]:
             merged.append(a[i])
             i += 1
-        else:
+        elif a[i] > b[j]:
             # b[j] jumps over the remaining len(a)-i generators of a
             merged.append(b[j])
             inversions += len(a) - i
             j += 1
+        else:
+            return 0, None
     merged.extend(a[i:])
     merged.extend(b[j:])
     return (-1 if inversions % 2 else 1), tuple(merged)
@@ -217,17 +218,19 @@ class ExtClass:
 
 
 def wedge(u: ExtClass, v: ExtClass) -> ExtClass:
-    """Wedge product, bilinear over Q; raises GenusMismatch across genera."""
+    """Wedge product, bilinear over Q; raises GenusMismatch across genera.
+    Each pair of terms costs one product of coefficients, negated on an
+    odd shuffle."""
     u._require_same_genus(v)
-
-    def products():
-        for m1, c1 in u.terms.items():
-            for m2, c2 in v.terms.items():
-                sign, gam = _merge_sign(m1.gammas, m2.gammas)
-                if sign:
-                    yield ExtMono(m1.xexp + m2.xexp, gam), sign * c1 * c2
-
-    return ExtClass(u.g, products())
+    out: Dict[ExtMono, Fraction] = {}
+    for m1, c1 in u.terms.items():
+        for m2, c2 in v.terms.items():
+            sign, gam = _merge_sign(m1.gammas, m2.gammas)
+            if sign:
+                m = ExtMono(m1.xexp + m2.xexp, gam)
+                c = c1 * c2 if sign > 0 else -(c1 * c2)
+                out[m] = out[m] + c if m in out else c
+    return ExtClass(u.g, out)
 
 
 @lru_cache(maxsize=None)

@@ -35,7 +35,12 @@ factorisation of the basis (``PairingQuotient.label_pair``), and
 ``PairingQuotient.pair_vectors`` is the one place that applies them (or
 their inverses) to coordinate vectors.  A class meets the basis in one
 place, ``PairingQuotient.pair_basis``, behind normal forms, radical
-membership and ``killed_by``.  The radical itself,
+membership and ``killed_by``.  It sums rows: a monomial's row holds its
+nonzero pairings with the basis elements of opposite weight and a
+contributing degree, each computed by mono_pair over the terms of the
+basis element.  A row is filled on the monomial's first use and kept for
+the ring's life, so a patch to mono_pair made after a ring is built does
+not reach the rows it already holds.  The radical itself,
 homogeneous pieces degree by degree and then the mixed-degree
 corrections, is ``_radical``, computed only when asked for by the
 quotient's ``radical_*`` methods.  Both it and ``weight_ranks`` read the
@@ -322,6 +327,8 @@ class PairingQuotient:
         self.labels = canonical_labels(self.g, self.d)
         self.basis = [label_element(self.g, L) for L in self.labels]
         self.dim = len(self.basis)
+        # monomial -> its pair_basis row, filled on first use
+        self._rows: Dict[ExtMono, Tuple[Tuple[int, Fraction], ...]] = {}
         # torus weight -> indices of the basis elements of that weight
         self.weight_groups: Dict[Tuple[int, ...], List[int]] = {}
         self._weight_of: List[Tuple[int, ...]] = []
@@ -361,21 +368,46 @@ class PairingQuotient:
     # -- pairing and Gram --------------------------------------------------
 
     def pair_basis(self, z: ExtClass) -> Dict[int, Fraction]:
-        """{l: pair(z, e_l)} over the canonical basis, zeros left out.
-        mono_pair vanishes unless the two torus weights are opposite
-        (gram-structure certifies this), so each monomial m of z meets only
-        the terms of the e_l of weight -wt(m)."""
+        """{l: pair(z, e_l)} over the canonical basis, zeros left out: the
+        sum of c * pair(m, e_l) over the terms c m of z, each monomial's
+        row of values filled on its first use (_row) and kept for the
+        ring's life."""
         if z.g != self.g:
             raise DomainError(f"genus mismatch: class {z.g}, ring {self.g}")
         out: Dict[int, Fraction] = {}
-        for m1, c1 in z.terms.items():
-            for l in self.weight_groups.get(
-                    tuple(-x for x in mono_weight(self.g, m1)), ()):
-                for m2, c2 in self.basis[l].terms.items():
-                    p = mono_pair(self.params, m1, m2, self.n_filter)
-                    if p:
-                        out[l] = out.get(l, ZERO) + c1 * c2 * p
+        for m, c in z.terms.items():
+            row = self._rows.get(m)
+            if row is None:
+                row = self._rows[m] = self._row(m)
+            for l, v in row:
+                out[l] = out[l] + c * v if l in out else c * v
         return {l: v for l, v in out.items() if v}
+
+    def _row(self, m: ExtMono) -> Tuple[Tuple[int, Fraction], ...]:
+        """((l, pair(m, e_l)), ...) over the _partners of m, nonzero values
+        only, each value summed by mono_pair over the terms of e_l."""
+        row = []
+        for l in self._partners(m):
+            v = ZERO
+            for t, c in self.basis[l].terms.items():
+                p = mono_pair(self.params, m, t, self.n_filter)
+                if p:
+                    v += c * p
+            if v:
+                row.append((l, v))
+        return tuple(row)
+
+    def _partners(self, m: ExtMono) -> List[int]:
+        """The e_l that m can pair with: mono_pair vanishes unless the two
+        torus weights are opposite (gram-structure certifies this) and the
+        total degree has a contributing level, n_filter if one is set."""
+        partners = []
+        for l in self.weight_groups.get(
+                tuple(-x for x in mono_weight(self.g, m)), ()):
+            n = contributing_level(self.params, m.degree + self.labels[l].degree)
+            if n is not None and self.n_filter in (None, n):
+                partners.append(l)
+        return partners
 
     def label_pair(self, L1: BasisLabel, L2: BasisLabel) -> Fraction:
         """The pairing of two basis elements, from their labels.

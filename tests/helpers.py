@@ -1,13 +1,15 @@
 """Helpers that only the tests need: dense matrix arithmetic, the
 primitive basis and the Gram table computed without weights, the
 gamma-annihilated subspace and the vanishing-cycle ideal from products,
-splitting by degree or weight, sums folded term by term, the quotient
-dimension from one weight block per Weyl orbit, and a deadline."""
+splitting by degree or weight, sums folded term by term, the wedge with
+its signs from inversions, the quotient dimension from one weight block
+per Weyl orbit, and a deadline."""
 
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -111,6 +113,22 @@ def fold_class(g, pairs):
     for m, c in pairs:
         out = out + ExtClass.monomial(g, m, c)
     return out
+
+
+def reference_wedge(u, v):
+    """The wedge of two classes term by term, each sign read from the
+    inversions of the concatenated gamma tuple, not from the merge of
+    extalg._merge_sign: the reference for extalg.wedge."""
+    out = {}
+    for m1, c1 in u.terms.items():
+        for m2, c2 in v.terms.items():
+            gams = m1.gammas + m2.gammas
+            if len(set(gams)) < len(gams):
+                continue
+            inversions = sum(a > b for a, b in combinations(gams, 2))
+            m = ExtMono(m1.xexp + m2.xexp, tuple(sorted(gams)))
+            out[m] = out.get(m, 0) + (-1) ** inversions * c1 * c2
+    return ExtClass(u.g, out)
 
 
 def fold_bipoly(pairs):

@@ -28,7 +28,7 @@ from swfloer.extalg import (
 )
 from swfloer.qlinalg import QMatrix, rref
 
-from helpers import dense_primitive_basis, homogeneous_components
+from helpers import dense_primitive_basis, homogeneous_components, reference_wedge
 
 F = Fraction
 
@@ -288,3 +288,23 @@ class TestAlgebraProperties:
             for db, cb in homogeneous_components(b).items():
                 sign = -1 if (da % 2) and (db % 2) else 1
                 assert wedge(ca, cb) == wedge(cb, ca).scale(sign)
+
+
+@st.composite
+def class_pairs(draw):
+    """Two classes at one genus in 2..5, with gamma sets of at most four
+    generators, so that they are often empty and often overlap."""
+    g = draw(st.integers(2, 5))
+    gammas = st.sets(st.integers(1, 2 * g), max_size=4).map(
+        lambda s: tuple(sorted(s)))
+    terms = st.lists(st.tuples(st.builds(ExtMono, st.integers(0, 2), gammas),
+                               st.fractions(-3, 3, max_denominator=4)),
+                     max_size=6)
+    return ExtClass(g, draw(terms)), ExtClass(g, draw(terms))
+
+
+@given(class_pairs())
+@settings(max_examples=100, deadline=None)
+def test_wedge_matches_the_inversion_count_reference(uv):
+    u, v = uv
+    assert wedge(u, v) == reference_wedge(u, v)

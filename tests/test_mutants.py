@@ -16,8 +16,6 @@ kill it, which adds its entry when it does:
      vanishing-cycle ideal checked in high-degree-vanishing.
   2. pair_vectors(inverse=True) with the weight negation: item 9, a cap
      round trip in gluing-cap.
-  3. is_in_radical always True: item 9, a negative control against
-     nf_vector in high-degree-vanishing.
   4. SectorQuotient.normal_form truncated to the basis: item 8.
   5. nf_vector dropping the components off the input's degree: items 8
      and 4.
@@ -74,10 +72,48 @@ def first_factor_only(killed_by):
     return lambda self, factors: killed_by(self, factors[:1])
 
 
+def always_in_radical(is_in_radical):
+    return lambda self, z: True
+
+
+def row_without_first_entry(row):
+    return lambda self, m: row(self, m)[1:]
+
+
+def degree_filter_shifted(partners):
+    # x has weight 0, so one more x moves only the degree, by 2
+    return lambda self, m: partners(self, m._replace(xexp=m.xexp + 1))
+
+
+class GammaKeyedRows(dict):
+    """A row cache that ignores the x exponent of its monomial keys."""
+
+    def get(self, m, default=None):
+        return dict.get(self, m.gammas, default)
+
+    def __setitem__(self, m, row):
+        dict.__setitem__(self, m.gammas, row)
+
+
+def rows_keyed_by_gammas(init):
+    def patched(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self._rows = GammaKeyedRows()
+    return patched
+
+
 # (row of the ROADMAP survey, target, attribute, patch, checks)
 MUTANTS = [
+    (3, PairingQuotient, "is_in_radical", always_in_radical,
+     ["high-degree-vanishing"]),
     (8, PairingQuotient, "killed_by", first_factor_only,
      ["middle-coefficient"]),
+    (10, PairingQuotient, "_row", row_without_first_entry,
+     ["gram-structure", "middle-coefficient"]),
+    (11, PairingQuotient, "_partners", degree_filter_shifted,
+     ["gram-structure", "relations-annihilate", "middle-coefficient"]),
+    (12, PairingQuotient, "__init__", rows_keyed_by_gammas,
+     ["gram-structure", "relations-annihilate", "middle-coefficient"]),
 ]
 
 

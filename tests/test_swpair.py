@@ -21,7 +21,7 @@ from swfloer.extalg import (
     wedge,
 )
 from swfloer.qlinalg import QMatrix, invert, kernel_basis
-from swfloer import swpair
+from swfloer import floerring, swpair
 from swfloer.swpair import (
     PairingQuotient,
     SphereParams,
@@ -611,3 +611,29 @@ class TestQuotientProperties:
         w = cls(3, "1 + x")
         assert class_pair(p, u + v, w) == class_pair(p, u, w) + class_pair(p, v, w)
         assert class_pair(p, u.scale(F(3, 2)), v) == F(3, 2) * class_pair(p, u, v)
+
+
+@pytest.mark.parametrize("g, r", [(3, 1), (4, 1), (4, 2)])
+@pytest.mark.parametrize("floer_first", [True, False],
+                         ids=["floer-first", "level-first"])
+def test_pair_basis_rows_match_class_pair(g, r, floer_first):
+    """pair_basis of every monomial of degree <= 2d + 2 is class_pair with
+    each basis element, read twice (the second time from the filled
+    rows), on the Floer ring and on the level -1 ring at the same
+    (g, r), built in either order: rows shared between the two rings
+    would be wrong on the second."""
+    floerring._oracle.cache_clear()
+    d = SphereParams(g, r).d
+    builds = [lambda: floerring.build_oracle(g, r), lambda: ring_oracle(g, d)]
+    if not floer_first:
+        builds.reverse()
+    for ring in [build() for build in builds]:
+        want = {}
+        for m in monomials_up_to(g, 2 * d + 2):
+            z = ExtClass.monomial(g, m)
+            want[m] = {l: v for l, e in enumerate(ring.basis)
+                       if (v := class_pair(ring.params, z, e, ring.n_filter))}
+        for _ in range(2):
+            for m, pairs in want.items():
+                assert ring.pair_basis(ExtClass.monomial(g, m)) == pairs, \
+                    (ring.n_filter, m)

@@ -43,6 +43,7 @@ from .glueadj import (
     kernel_pairing_rank,
     universal_matrix,
 )
+from . import swpair
 from .swpair import SphereParams, class_pair, monos_of_degree
 from .symprod import BiPoly, alpha_of, betti, betti_total, ring_oracle
 
@@ -138,7 +139,10 @@ def check_gram_structure(cases) -> List[str]:
     A monomial pairing is that value for the merged gamma set times a
     sign and (-n)^j/j! != 0, and weights add on merging, so classes of
     non-opposite weights pair to zero at every level, the level -1 filter
-    included.  The other claims then need only the block entries.  The
+    included.  The same walk certifies the engine's closed form: on each
+    W the wedge value must be j! times swpair._gamma_eval(g, W, -1), read
+    at call time, so the engine no longer shares the wedge with this
+    check.  The other claims then need only the block entries.  The
     ring computed them from the primitive factorisation of the basis, so
     each entry (i, j) is compared with pair_basis(e_i)[j], the definition
     through mono_pair; the fundamental pairing is the level -1 filter of
@@ -147,14 +151,18 @@ def check_gram_structure(cases) -> List[str]:
     fails = []
     for g, r in cases:
         for size in range(0, 2 * g + 1, 2):
-            power = theta_power(g, g - size // 2)
+            j = g - size // 2
+            power = theta_power(g, j)
             for W in gamma_monomials(g, size):
                 m = ExtMono(0, W)
-                if any(mono_weight(g, m)) and \
-                        top_eval(wedge(ExtClass.monomial(g, m), power)):
+                v = top_eval(wedge(ExtClass.monomial(g, m), power))
+                if v and any(mono_weight(g, m)):
                     fails.append(f"({g},{r}): nonzero off the weight blocks: "
                                  f"gamma set {W} reaches the volume at "
                                  f"weight {mono_weight(g, m)}")
+                if v != factorial(j) * swpair._gamma_eval(g, W, -1):
+                    fails.append(f"({g},{r}): closed form differs from "
+                                 f"the wedge at gamma set {W}")
         ring = build_oracle(g, r)
         degs = ring.basis_degrees()
         cap = 2 * ring.d
@@ -244,8 +252,10 @@ def check_middle_coefficient(cases) -> List[str]:
 
 
 def check_gluing_cap(cases) -> List[str]:
-    """Top-twist gluing is a plain product; the universal matrix inverts
-    the Gram matrix entry by entry."""
+    """Top-twist gluing is a plain product; the universal matrix M inverts
+    the Gram matrix entry by entry; then glue, which reads the inverse
+    weight blocks, equals sum t1(e_i) M_ij t2(e_j) on two seeded tables
+    of six monomials off weight 0."""
     fails = []
     for g, r in cases:
         if r == g - 1:
@@ -271,6 +281,21 @@ def check_gluing_cap(cases) -> List[str]:
                 fails.append(f"({g},{r}): cap identity fails at "
                              f"({i},{bad[0]})")
                 break
+        else:
+            rng = random.Random(7000 + 10 * g + r)
+            off = [mono for mono in ring.monos if any(mono_weight(g, mono))]
+            t1, t2 = (SWTable(g, r, {
+                mono: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                               rng.randint(1, 4))
+                for mono in rng.sample(off, min(6, len(off)))})
+                for _ in range(2))
+            left, right = ([t.evaluate(e) for e in ring.basis] for t in (t1, t2))
+            want = sum((x * mij * right[j] for i, x in enumerate(left) if x
+                        for j, mij in enumerate(m.row(i)) if mij and right[j]),
+                       Fraction(0))
+            if glue(g, r, t1, t2) != want:
+                fails.append(f"({g},{r}): glue differs from the universal "
+                             f"matrix on seeded tables")
     return fails
 
 

@@ -3,10 +3,12 @@
 Two four-manifold pieces glued along Sigma x S^1 have their invariants
 coupled by the inverse Gram matrix of the Floer pairing: the closed
 invariant is sum_ij m_ij t1(z_i) t2(z_j) over the canonical basis
-{z_i}.  The per-piece data enters as finite tables (SWTable); offsets
-of the Spin^C structure along the surface and rim-torus classes are
-pre-aggregated into the table values, since at most one offset can
-contribute in each degree.
+{z_i} (glue).  The per-piece data enters as finite tables (SWTable);
+offsets of the Spin^C structure along the surface and rim-torus classes
+are pre-aggregated into the table values, since at most one offset can
+contribute in each degree.  For tables on the pure x-powers alone the
+sum collapses to c_coefficient(g, r) s1 s2, s_i the value on x^(d/2),
+when d is even, and to zero when d is odd.
 
 The second half implements the adjunction-inequality verdicts for an
 embedded surface of genus g >= 2 with nonnegative self-intersection,
@@ -169,32 +171,6 @@ def glue(g: int, r: int, t1: SWTable, t2: SWTable) -> Fraction:
     ring = build_oracle(g, r)
     left, right = ([t.evaluate(z) for z in ring.basis] for t in (t1, t2))
     return ring.pair_vectors(left, right, inverse=True)
-
-
-def cap_table(g: int, r: int, k: int) -> SWTable:
-    """The table pairing everything against the k-th basis element.
-
-    Gluing any table against this one reads off its k-th coordinate:
-    the matrix identity sum_j m_ij gram_jk = delta_ik in table form.
-    """
-    ring = build_oracle(g, r)
-    if not (0 <= k < ring.dim):
-        raise DomainError(f"basis index {k} out of range 0..{ring.dim - 1}")
-    pairs = {m: ring.pair_basis(ExtClass.monomial(g, m)) for m in ring.monos}
-    return SWTable(g, r, {m: p[k] for m, p in pairs.items() if k in p})
-
-
-def h1_simple_glue(g: int, r: int, s1: Fraction, s2: Fraction) -> Fraction:
-    """Gluing collapsed to scalars for pieces with no odd-degree data.
-
-    When both sides vanish on all monomials with gamma factors, the
-    double sum telescopes to a single binomial coefficient on the
-    x-power ladder: (-1)^(d/2) C(g-1, d/2) s1 s2 for d even, and zero
-    for d odd (the ladder then has no middle rung).
-    """
-    d = SphereParams(g, r).d
-    c = 0 if d % 2 else (-1) ** (d // 2) * comb(g - 1, d // 2)
-    return c * frac(s1) * frac(s2)
 
 
 def c_coefficient(g: int, r: int) -> Fraction:

@@ -10,17 +10,25 @@ invariant of a class z in A(Sigma) at level n is nonzero only when
     n <= -1,   deg z = 2*D,   D = r*n + g - 1 >= 0.
 
 In that case, writing z = sum_a x^a w_a with w_a purely in the gammas,
+the invariant is sum_a top_eval(w_a ^ exp(-n theta)), the exponential
+truncated at theta^g; tests/helpers.py keeps this definition as the
+reference ``sw_sphere``.  theta^j is j! times the sum of the products of
+j distinct pairs gamma_i gamma_(g+i), so a gamma monomial g_W reaches
+the volume only when W is the union of m such pairs (j = g - m), and the
+engine evaluates it in closed form (``_gamma_eval``):
 
-    sw_sphere(n, z) = sum_a top_eval(w_a ^ exp(-n theta)),
+    top_eval(g_W ^ exp(-n theta)) = (-1)^(m(m-1)/2) (-n)^(g-m),
 
-with the exponential truncated at theta^g.  Two classical value families
-fall out of this rule and are pinned as tests: sw(x^a theta^b) =
-g!/(g-b)! (-n)^(g-b), and the version with a product of primitive pairs
-inserted, (g-k)!/(g-k-b)! (-n)^(g-k-b).
+the sign being that of sorting the pairs into W.  The gram-structure
+check compares this form with the wedge on every even gamma set, so the
+engine no longer shares the wedge with the check.  Two classical value
+families follow and are pinned as tests: sw(x^a theta^b) =
+g!/(g-b)! (-n)^(g-b), and with a product of k primitive pairs inserted,
+(g-k)!/(g-k-b)! (-n)^(g-k-b).
 
-``class_pair`` sums sw_sphere over all levels; on a wedge of two
-homogeneous classes at most one level can contribute, so the sum is
-finite and exact.
+``class_pair`` sums the invariant of z1 ^ z2 over all levels; on a wedge
+of two homogeneous classes at most one level can contribute, so the sum
+is finite and exact.
 
 The PairingQuotient engine at the bottom of this file is the quotient of
 the monomials of degree <= 2d (d = g-1-|r|) by the radical of this
@@ -112,36 +120,14 @@ def contributing_level(params: SphereParams, total_degree: int) -> Optional[int]
     return n if n <= -1 else None
 
 
-@lru_cache(maxsize=None)
 def _gamma_eval(g: int, gammas: Tuple[int, ...], n: int) -> Fraction:
-    """top_eval(g_S ^ exp(-n theta)) for a single gamma monomial."""
-    s = len(gammas)
-    if s % 2:
+    """top_eval(g_W ^ exp(-n theta)) for the sorted gamma set W = gammas:
+    (-1)^(m(m-1)/2) (-n)^(g-m) if W is the union of m pairs {i, g+i},
+    and 0 otherwise."""
+    m, odd = divmod(len(gammas), 2)
+    if odd or gammas[m:] != tuple(i + g for i in gammas[:m]):
         return ZERO
-    j = g - s // 2
-    if j < 0:
-        return ZERO
-    base = top_eval(wedge(ExtClass.monomial(g, ExtMono(0, gammas)), theta_power(g, j)))
-    if not base:
-        return ZERO
-    return base * Fraction((-n) ** j, factorial(j))
-
-
-def sw_sphere(params: SphereParams, n: int, z: ExtClass) -> Fraction:
-    """Invariant of z at level n; zero unless the degree window matches.
-    params given -r give the invariant at |r|, since SphereParams stores |r|."""
-    if z.g != params.g:
-        raise DomainError(f"class has genus {z.g}, params have {params.g}")
-    if n >= 0:
-        return ZERO
-    D = params.r * n + params.g - 1
-    if D < 0:
-        return ZERO
-    total = ZERO
-    for m, c in z.terms.items():
-        if m.degree == 2 * D:
-            total += c * _gamma_eval(params.g, m.gammas, n)
-    return total
+    return Fraction((-1) ** (m * (m - 1) // 2) * (-n) ** (g - m))
 
 
 def mono_pair(params: SphereParams, m1: ExtMono, m2: ExtMono,
@@ -158,8 +144,8 @@ def mono_pair(params: SphereParams, m1: ExtMono, m2: ExtMono,
 
 def class_pair(params: SphereParams, z1: ExtClass, z2: ExtClass,
                n_filter: Optional[int] = None) -> Fraction:
-    """Sum over all levels (or over level n_filter alone) of
-    sw_sphere(n, z1 ^ z2).
+    """Sum over all levels (or over level n_filter alone) of the
+    invariant sw(n, z1 ^ z2).
 
     Only levels with 0 <= r n + g - 1 <= deg(z1 z2)/2 can contribute, and
     for homogeneous inputs at most one does.  params given -r pair at |r|,
@@ -501,9 +487,6 @@ class PairingQuotient:
 
     # -- ring structure ----------------------------------------------------
 
-    def product(self, u: ExtClass, v: ExtClass) -> ExtClass:
-        return self.nf_class(wedge(u, v))
-
     def killed_by(self, factors: Sequence[ExtMono]
                   ) -> Tuple[Tuple[Fraction, ...], ...]:
         """Canonical basis of {phi : a . phi = 0 for every monomial a in
@@ -534,13 +517,6 @@ class PairingQuotient:
     def radical_vectors(self, q: int) -> List[Tuple[Fraction, ...]]:
         pieces = _radical(self.params, self.n_filter)[0]
         return list(pieces[q]) if 0 <= q < len(pieces) else []
-
-    def radical_elements(self) -> List[ExtClass]:
-        """Homogeneous radical pieces by degree, then mixed corrections."""
-        pieces, mixed = _radical(self.params, self.n_filter)
-        return [ExtClass(self.g, {m: c for m, c in
-                                  zip(monos_of_degree(self.g, q), v) if c})
-                for q, vecs in enumerate(pieces) for v in vecs] + list(mixed)
 
     def mixed_radical_elements(self) -> List[ExtClass]:
         return list(_radical(self.params, self.n_filter)[1])

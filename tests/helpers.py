@@ -1,5 +1,7 @@
 """Helpers that only the tests need: dense matrix arithmetic, the
 primitive basis and the Gram table computed without weights, the
+invariant of the ruled surface from its wedge definition, the radical's
+elements as classes, the cap table of a basis element, the
 gamma-annihilated subspace and the vanishing-cycle ideal from products,
 splitting by degree or weight, sums folded term by term, the wedge with
 its signs from inversions, the quotient dimension from one weight block
@@ -10,10 +12,11 @@ from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 
 import pytest
 
+from swfloer.errors import DomainError
 from swfloer.extalg import (
     ExtClass,
     ExtMono,
@@ -21,10 +24,13 @@ from swfloer.extalg import (
     mono_weight,
     monomials_up_to,
     theta_power,
+    top_eval,
     wedge,
 )
+from swfloer.floerring import build_oracle
+from swfloer.glueadj import SWTable
 from swfloer.qlinalg import QMatrix, block_kernel, kernel_basis, rank, rref
-from swfloer.swpair import SphereParams, class_pair, mono_pair
+from swfloer.swpair import SphereParams, class_pair, mono_pair, monos_of_degree
 from swfloer.symprod import BiPoly
 
 
@@ -62,6 +68,43 @@ def dense_gram(Q):
     PairingQuotient, without reference to torus weights."""
     return QMatrix([[class_pair(Q.params, u, v, Q.n_filter) for v in Q.basis]
                     for u in Q.basis], Q.dim)
+
+
+def sw_sphere(params, n, z):
+    """The invariant of z at level n from its definition: with
+    z = sum_a x^a w_a, w_a purely in the gammas, it is
+    sum_a top_eval(w_a ^ exp(-n theta)) over the terms of degree
+    2(r n + g - 1), and zero unless n <= -1 and r n + g - 1 >= 0.  The
+    reference for swpair._gamma_eval, the closed form behind class_pair."""
+    if z.g != params.g:
+        raise DomainError(f"class has genus {z.g}, params have {params.g}")
+    D = params.r * n + params.g - 1
+    if n >= 0 or D < 0:
+        return Fraction(0)
+    g = params.g
+    exp_theta = ExtClass(g, ((m, c * Fraction((-n) ** j, factorial(j)))
+                             for j in range(g + 1)
+                             for m, c in theta_power(g, j).terms.items()))
+    w = ExtClass(g, ((ExtMono(0, m.gammas), c) for m, c in z.terms.items()
+                     if m.degree == 2 * D))
+    return top_eval(wedge(w, exp_theta))
+
+
+def radical_elements(Q):
+    """The radical of a PairingQuotient as classes: the homogeneous
+    pieces radical_vectors(q) by degree, then mixed_radical_elements()."""
+    return [ExtClass(Q.g, {m: c for m, c in zip(monos_of_degree(Q.g, q), v) if c})
+            for q in range(2 * Q.d + 1) for v in Q.radical_vectors(q)] \
+        + Q.mixed_radical_elements()
+
+
+def cap_table(g, r, k):
+    """The table pairing every monomial with the k-th basis element:
+    gluing any table against it reads off the table's value on e_k, the
+    matrix identity sum_j m_ij gram_jk = delta_ik in table form."""
+    ring = build_oracle(g, r)
+    return SWTable(g, r, {m: v for m in ring.monos if (
+        v := ring.pair_basis(ExtClass.monomial(g, m)).get(k))})
 
 
 def product_row_kernel(ring):

@@ -14,8 +14,6 @@ kill it, which adds its entry when it does:
 
   1. pair_vectors without the weight negation (Gram form): item 5, the
      vanishing-cycle ideal checked in high-degree-vanishing.
-  2. pair_vectors(inverse=True) with the weight negation: item 9, a cap
-     round trip in gluing-cap.
   4. SectorQuotient.normal_form truncated to the basis: item 8.
   5. nf_vector dropping the components off the input's degree: items 8
      and 4.
@@ -27,18 +25,18 @@ kill it, which adds its entry when it does:
 
 import importlib
 import pkgutil
+from fractions import Fraction
 
 import pytest
 
 import swfloer
-from swfloer import cli
+from swfloer import cli, swpair
 from swfloer.swpair import PairingQuotient
 
 # the package's lru_caches, by module and name
 CACHES = {
     "extalg.theta_class", "extalg.theta_power", "extalg.primitive_basis",
-    "swpair._gamma_eval", "swpair.monos_of_degree", "swpair._radical",
-    "swpair.primitive_pair",
+    "swpair.monos_of_degree", "swpair._radical", "swpair.primitive_pair",
     "floerring._run_recursion", "floerring._presentation_sector",
     "floerring._oracle",
     "glueadj._cycle_subspace",
@@ -66,6 +64,23 @@ def clean_caches():
     yield
     for cache in package_caches():
         cache.cache_clear()
+
+
+def inverse_with_the_negation(pair_vectors):
+    # the inverse form read from the blocks keyed by the negated weights
+    def patched(self, u, v, inverse=False):
+        if not inverse:
+            return pair_vectors(self, u, v)
+        keys = {tuple(-x for x in self._weight_of[j])
+                for j, x in enumerate(v) if x}
+        return sum((u[i] * m * v[j] for i, j, m in self._entries(keys, True)
+                    if v[j] and u[i]), Fraction(0))
+    return patched
+
+
+def unsigned(gamma_eval):
+    # (-n)^(g-m) > 0 at every level n <= -1, so abs drops (-1)^(m(m-1)/2)
+    return lambda g, gammas, n: abs(gamma_eval(g, gammas, n))
 
 
 def first_factor_only(killed_by):
@@ -104,6 +119,8 @@ def rows_keyed_by_gammas(init):
 
 # (row of the ROADMAP survey, target, attribute, patch, checks)
 MUTANTS = [
+    (2, PairingQuotient, "pair_vectors", inverse_with_the_negation,
+     ["gluing-cap"]),
     (3, PairingQuotient, "is_in_radical", always_in_radical,
      ["high-degree-vanishing"]),
     (8, PairingQuotient, "killed_by", first_factor_only,
@@ -114,6 +131,7 @@ MUTANTS = [
      ["gram-structure", "relations-annihilate", "middle-coefficient"]),
     (12, PairingQuotient, "__init__", rows_keyed_by_gammas,
      ["gram-structure", "relations-annihilate", "middle-coefficient"]),
+    (13, swpair, "_gamma_eval", unsigned, ["gram-structure"]),
 ]
 
 

@@ -14,7 +14,7 @@ from swfloer.checks import _random_homogeneous
 from swfloer.errors import DomainError
 from swfloer.extalg import ExtClass, ExtMono, monomials_up_to, render_class
 from swfloer.floerring import build_oracle
-from swfloer.glueadj import SWTable, h1_simple_glue
+from swfloer.glueadj import SWTable
 from swfloer.symprod import BiPoly
 
 from helpers import fold_bipoly, fold_class
@@ -96,8 +96,6 @@ FLOAT_INPUTS = {
     "BiPoly later pair": lambda: BiPoly([((1, 0), 1), ((1, 0), 0.5)]),
     "BiPoly scale": lambda: BiPoly.eta().scale(0.5),
     "SWTable value": lambda: SWTable(3, 1, {ExtMono(0, ()): 0.1}),
-    "h1_simple_glue even d": lambda: h1_simple_glue(3, 2, 0.1, 1),
-    "h1_simple_glue odd d": lambda: h1_simple_glue(3, 1, 1, 0.1),
 }
 
 

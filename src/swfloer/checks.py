@@ -1,10 +1,11 @@
 """The invariant suite behind ``swfloer verify`` and the acceptance tests.
 
 Each check takes a list of (g, r) cases and returns failure strings;
-empty means pass.  The registry CHECKS at the bottom drives both
-``swfloer verify`` and the acceptance tests, so they cannot drift apart.
-The command line loads this module only for verify, and reads the
-registry from here (``swfloer.cli.CHECKS`` is this same list).
+empty means pass.  A per-case check folds each case once (_folded), so
+(g, -r) is checked as (g, r).  The registry CHECKS at the bottom drives
+both ``swfloer verify`` and the acceptance tests, so they cannot drift
+apart.  The command line loads this module only for verify, and reads
+the registry from here (``swfloer.cli.CHECKS`` is this same list).
 """
 
 import random
@@ -16,11 +17,11 @@ from .errors import VerificationFailure
 from .extalg import (
     ExtClass,
     ExtMono,
+    by_weight,
     embed_bipoly,
     gamma_monomials,
     mono_weight,
     primitive_basis,
-    primitive_dim,
     theta_power,
     top_eval,
     wedge,
@@ -50,10 +51,14 @@ from .symprod import BiPoly, alpha_of, betti, betti_total, ring_oracle
 SWEEP = [(g, r) for g in range(2, 6) for r in range(1, g)]
 
 
+def _folded(cases) -> List[SphereParams]:
+    return [SphereParams(g, r) for g, r in cases]
+
+
 def check_dimension_match(cases) -> List[str]:
     """Quotient dimension equals the total Betti number."""
     fails = []
-    for g, r in cases:
+    for g, r in _folded(cases):
         ring = build_oracle(g, r)
         want = betti_total(g, ring.d)
         if ring.dim != want:
@@ -64,10 +69,9 @@ def check_dimension_match(cases) -> List[str]:
 def check_relations_annihilate(cases) -> List[str]:
     """Every w ^ R~_k and w ^ theta R~_(k+1) is in the pairing radical."""
     fails = []
-    for g, r in cases:
+    for g, r in _folded(cases):
         ring = build_oracle(g, r)
-        d = ring.d
-        for k in range(d + 1):
+        for k in range(ring.d + 1):
             rel = embed_bipoly(g, tilde_relation(g, r, k))
             nxt = embed_bipoly(g, BiPoly.theta() * tilde_relation(g, r, k + 1))
             for w in primitive_basis(g, k):
@@ -84,9 +88,8 @@ def check_relations_annihilate(cases) -> List[str]:
 def check_presentation_basis(cases) -> List[str]:
     """Sector bases are the predicted monomials; weighted sizes add up."""
     fails = []
-    for g, r in cases:
-        d = g - 1 - r
-        total = 0
+    for p in _folded(cases):
+        g, r, d = p.g, p.r, p.d
         for k in range(d + 1):
             quo = presentation_quotient(g, r, k)
             want = sorted(((a, b) for a in range(d + 1) for b in range(d + 1)
@@ -94,7 +97,7 @@ def check_presentation_basis(cases) -> List[str]:
                           key=lambda ab: (ab[0] + ab[1], -ab[0]))
             if sorted(quo.basis) != sorted(want):
                 fails.append(f"({g},{r}) k={k}: basis {quo.basis}")
-            total += primitive_dim(g, k) * quo.dim
+        total = presentation_dimension(g, r)
         if total != betti_total(g, d):
             fails.append(f"({g},{r}): weighted sector sum {total}")
     return fails
@@ -104,9 +107,9 @@ def check_recursion_consistency(cases) -> List[str]:
     """Unique solution matches the closed form; free solution checks out;
     order-k relations are order-zero relations one genus down."""
     fails = []
-    for g, r in cases:
+    for p in _folded(cases):
+        g, r, d = p.g, p.r, p.d
         rs = recursion_unique(g, r)
-        d = g - 1 - r
         a = alpha_of(d, 0)
         lo, hi = 2 * a + 2 * r - d, a + r
         for i in range(max(lo, 0), hi + 1):
@@ -141,15 +144,16 @@ def check_gram_structure(cases) -> List[str]:
     non-opposite weights pair to zero at every level, the level -1 filter
     included.  The same walk certifies the engine's closed form: on each
     W the wedge value must be j! times swpair._gamma_eval(g, W, -1), read
-    at call time, so the engine no longer shares the wedge with this
-    check.  The other claims then need only the block entries.  The
-    ring computed them from the primitive factorisation of the basis, so
-    each entry (i, j) is compared with pair_basis(e_i)[j], the definition
-    through mono_pair; the fundamental pairing is the level -1 filter of
-    class_pair.  The ring inverted every block when it was built.
+    at call time.  The walk runs once per genus.  The other claims then
+    need only the block entries.  The ring computed them from the primitive
+    factorisation of the basis, so each entry (i, j) is compared with
+    pair_basis(e_i)[j], the definition through mono_pair; the fundamental
+    pairing is the level -1 filter of class_pair.  The ring inverted every
+    block when it was built.
     """
     fails = []
-    for g, r in cases:
+    params = _folded(cases)
+    for g in sorted({p.g for p in params}):
         for size in range(0, 2 * g + 1, 2):
             j = g - size // 2
             power = theta_power(g, j)
@@ -157,12 +161,13 @@ def check_gram_structure(cases) -> List[str]:
                 m = ExtMono(0, W)
                 v = top_eval(wedge(ExtClass.monomial(g, m), power))
                 if v and any(mono_weight(g, m)):
-                    fails.append(f"({g},{r}): nonzero off the weight blocks: "
+                    fails.append(f"genus {g}: nonzero off the weight blocks: "
                                  f"gamma set {W} reaches the volume at "
                                  f"weight {mono_weight(g, m)}")
                 if v != factorial(j) * swpair._gamma_eval(g, W, -1):
-                    fails.append(f"({g},{r}): closed form differs from "
+                    fails.append(f"genus {g}: closed form differs from "
                                  f"the wedge at gamma set {W}")
+    for g, r in params:
         ring = build_oracle(g, r)
         degs = ring.basis_degrees()
         cap = 2 * ring.d
@@ -203,7 +208,7 @@ def check_deformation_cup(cases) -> List[str]:
     level -1, sharing basis, Gram blocks and nf_vector with the ring under
     test; only the level filter differs."""
     fails = []
-    for g, r in cases:
+    for g, r in _folded(cases):
         if g > 4:
             continue
         ring = build_oracle(g, r)
@@ -231,18 +236,17 @@ def check_middle_coefficient(cases) -> List[str]:
     """Both routes to the middle coefficient agree; the pairing restricted
     to the gamma-annihilated subspace has rank 1 for d even, 0 for odd."""
     fails = []
-    for g, r in cases:
-        d = g - 1 - r
+    for p in _folded(cases):
+        g, r, d = p.g, p.r, p.d
         if d % 2 == 0:
             try:
                 c = c_coefficient(g, r)
             except VerificationFailure as e:
                 fails.append(f"({g},{r}): {e}")
                 continue
-            if (g, r) == (4, 1):
-                rel = embed_bipoly(4, tilde_relation(4, 1, 1))
-                if c != -3 or class_pair(SphereParams(4, 1), rel, rel) != \
-                        Fraction(-1, 3):
+            if p == (4, 1):
+                rel = embed_bipoly(g, tilde_relation(g, r, 1))
+                if c != -3 or class_pair(p, rel, rel) != Fraction(-1, 3):
                     fails.append("(4,1): expected c = -3 and self-pairing "
                                  "-1/3")
         want = 1 if d % 2 == 0 else 0
@@ -252,18 +256,13 @@ def check_middle_coefficient(cases) -> List[str]:
 
 
 def check_gluing_cap(cases) -> List[str]:
-    """Top-twist gluing is a plain product; the universal matrix M inverts
-    the Gram matrix entry by entry; then glue, which reads the inverse
-    weight blocks, equals sum t1(e_i) M_ij t2(e_j) on two seeded tables
-    of six monomials off weight 0."""
+    """The universal matrix M inverts the Gram matrix entry by entry; then
+    glue, which reads the inverse weight blocks, is a plain product at the
+    top twist (d = 0), and elsewhere equals sum t1(e_i) M_ij t2(e_j) on two
+    seeded tables of up to six monomials, t2 of one nonzero weight w of
+    the basis and t1 of weight -w, so that one block pairs them."""
     fails = []
-    for g, r in cases:
-        if r == g - 1:
-            s, t = Fraction(3, 2), Fraction(-4, 5)
-            t1 = SWTable(g, r, {ExtMono(0, ()): s})
-            t2 = SWTable(g, r, {ExtMono(0, ()): t})
-            if glue(g, r, t1, t2) != s * t:
-                fails.append(f"({g},{r}): product formula failed")
+    for g, r in _folded(cases):
         ring = build_oracle(g, r)
         _, m = universal_matrix(g, r)
         g_rows = [[] for _ in range(ring.dim)]
@@ -282,13 +281,21 @@ def check_gluing_cap(cases) -> List[str]:
                              f"({i},{bad[0]})")
                 break
         else:
+            if ring.d == 0:  # the one basis element is 1, of weight 0
+                s, t = Fraction(3, 2), Fraction(-4, 5)
+                t1, t2 = (SWTable(g, r, {ExtMono(0, ()): v}) for v in (s, t))
+                if glue(g, r, t1, t2) != s * t:
+                    fails.append(f"({g},{r}): product formula failed")
+                continue
             rng = random.Random(7000 + 10 * g + r)
-            off = [mono for mono in ring.monos if any(mono_weight(g, mono))]
+            groups = by_weight(g, ring.monos)
+            weights = {mono_weight(g, min(e.terms)) for e in ring.basis}
+            w = rng.choice(sorted(k for k in weights if any(k)))
             t1, t2 = (SWTable(g, r, {
-                mono: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
-                               rng.randint(1, 4))
-                for mono in rng.sample(off, min(6, len(off)))})
-                for _ in range(2))
+                ring.monos[i]: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                                        rng.randint(1, 4))
+                for i in rng.sample(groups[k], min(6, len(groups[k])))})
+                for k in (tuple(-x for x in w), w))
             left, right = ([t.evaluate(e) for e in ring.basis] for t in (t1, t2))
             want = sum((x * mij * right[j] for i, x in enumerate(left) if x
                         for j, mij in enumerate(m.row(i)) if mij and right[j]),
@@ -304,15 +311,14 @@ def check_high_degree_vanishing(cases) -> List[str]:
     them for the four lowest degrees past the cap (plus the pure-x ladder)
     at genus up to four, a seeded sample of 500 at genus five.  As a
     negative control, no basis element may be in the radical, so a
-    radical test that says yes to everything fails here."""
+    radical test that says yes to everything fails here, and up to 20
+    seeded basis unit vectors v, always the last, must equal
+    nf_vector(element_from_vector(v))."""
     fails = []
-    for g, r in cases:
+    for g, r in _folded(cases):
         ring = build_oracle(g, r)
         cap = 2 * ring.d
-        for i, e in enumerate(ring.basis):
-            if ring.is_in_radical(e):
-                fails.append(f"({g},{r}): basis element {i} is in the radical")
-                break
+        rng = random.Random(20240612 + r)
         monos: List[ExtMono] = []
         if g <= 4:
             for q in range(cap + 1, cap + 5):
@@ -320,7 +326,6 @@ def check_high_degree_vanishing(cases) -> List[str]:
             monos.extend(ExtMono(a, ())
                          for a in range(ring.d + 1, ring.d + 7))
         else:
-            rng = random.Random(20240612 + r)
             while len(monos) < 500:
                 xexp = rng.randint(0, 6)
                 ng = rng.randint(0, 2 * g)
@@ -328,6 +333,16 @@ def check_high_degree_vanishing(cases) -> List[str]:
                 m = ExtMono(xexp, gammas)
                 if m.degree > cap:
                     monos.append(m)
+        for i, e in enumerate(ring.basis):
+            if ring.is_in_radical(e):
+                fails.append(f"({g},{r}): basis element {i} is in the radical")
+                break
+        last = ring.dim - 1
+        for i in rng.sample(range(last), min(19, last)) + [last]:
+            v = tuple(int(j == i) for j in range(ring.dim))
+            if ring.nf_vector(ring.element_from_vector(v)) != v:
+                fails.append(f"({g},{r}): unit vector {i} fails the round trip")
+                break
         for m in monos:
             if not ring.is_in_radical(ExtClass.monomial(g, m)):
                 fails.append(f"({g},{r}): {m} does not vanish")

@@ -147,22 +147,18 @@ def _cmd_adjunct(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     from .checks import CHECKS, SWEEP
-    from .swpair import SphereParams
     if args.all:
         if args.g is not None or args.r is not None:
             raise DomainError("verify --all runs the whole sweep; it takes "
                               "no --g or --r")
-        cases = SWEEP
-        names = [name for name, _, _ in CHECKS]
+        cases, run = SWEEP, CHECKS
     else:
         if args.g is None or args.r is None:
             raise DomainError("verify needs --g and --r, or --all")
-        cases = [(args.g, SphereParams(args.g, args.r).r)]
-        names = [name for name, _, per_case in CHECKS if per_case]
+        cases = [(args.g, args.r)]
+        run = [check for check in CHECKS if check[2]]
     ok = True
-    for name, fn, _ in CHECKS:
-        if name not in names:
-            continue
+    for name, fn, _ in run:
         fails = fn(cases)
         if fails:
             ok = False
@@ -226,15 +222,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise DomainError(f"genus {args.g} is above the command-line "
                               f"ceiling {GENUS_CEILING}")
         return args.handler(args, sys.stdout)
-    except (DomainError, GenusMismatch) as e:
+    except (DomainError, GenusMismatch, OSError) as e:
         sys.stderr.write(f"{type(e).__name__}: {e}\n")
         return 2
     except (VerificationFailure, SingularMatrix, InconsistentRecursion) as e:
         sys.stderr.write(f"{type(e).__name__}: {e}\n")
         return 1
-    except OSError as e:
-        sys.stderr.write(f"{type(e).__name__}: {e}\n")
-        return 2
 
 
 if __name__ == "__main__":

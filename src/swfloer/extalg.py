@@ -233,7 +233,6 @@ def wedge(u: ExtClass, v: ExtClass) -> ExtClass:
     return ExtClass(u.g, out)
 
 
-@lru_cache(maxsize=None)
 def theta_class(g: int) -> ExtClass:
     """theta = sum_{i=1}^{g} gamma_i ^ gamma_{g+i}."""
     if g < 1:

@@ -72,10 +72,9 @@ def _run_recursion(g: int, r: int):
     on and aborts loudly.
 
     Returns (coefficients a_im by (i, m), and the assembled order-zero
-    relation as a BiPoly).
+    relation as a BiPoly).  r > 0, as recursion_unique folds it.
     """
-    params = SphereParams(g, r)
-    d, r = params.d, params.r
+    d = SphereParams(g, r).d
     a0 = alpha_of(d, 0)
     n = d - a0 + 1
     coeffs: Dict[Tuple[int, int], Fraction] = {
@@ -201,10 +200,8 @@ def _presentation_sector(params: SphereParams, k: int) -> SectorQuotient:
 def presentation_dimension(g: int, r: int) -> int:
     """Total dimension of the presentation: primitive dimension times
     sector dimension, summed over prefactor degrees."""
-    params = SphereParams(g, r)
-    d, r = params.d, params.r
     return sum(primitive_dim(g, k) * presentation_quotient(g, r, k).dim
-               for k in range(d + 1))
+               for k in range(SphereParams(g, r).d + 1))
 
 
 # -- the oracle ring -------------------------------------------------------

@@ -20,11 +20,10 @@ engine evaluates it in closed form (``_gamma_eval``):
     top_eval(g_W ^ exp(-n theta)) = (-1)^(m(m-1)/2) (-n)^(g-m),
 
 the sign being that of sorting the pairs into W.  The gram-structure
-check compares this form with the wedge on every even gamma set, so the
-engine no longer shares the wedge with the check.  Two classical value
-families follow and are pinned as tests: sw(x^a theta^b) =
-g!/(g-b)! (-n)^(g-b), and with a product of k primitive pairs inserted,
-(g-k)!/(g-k-b)! (-n)^(g-k-b).
+check compares this form with the wedge on every even gamma set.  Two
+classical value families follow and are pinned as tests:
+sw(x^a theta^b) = g!/(g-b)! (-n)^(g-b), and with a product of k
+primitive pairs inserted, (g-k)!/(g-k-b)! (-n)^(g-k-b).
 
 ``class_pair`` sums the invariant of z1 ^ z2 over all levels; on a wedge
 of two homogeneous classes at most one level can contribute, so the sum
@@ -39,9 +38,10 @@ certifies its canonical basis one weight at a time: the rank of the
 pairing between the monomials of weight lambda and those of weight
 -lambda must equal the number of basis elements of weight lambda
 (``weight_ranks``).  Its Gram blocks come from the primitive
-factorisation of the basis (``PairingQuotient.label_pair``), and
-``PairingQuotient.pair_vectors`` is the one place that applies them (or
-their inverses) to coordinate vectors.  A class meets the basis in one
+factorisation of the basis (``PairingQuotient.label_pair``).
+``PairingQuotient.pair_vectors`` applies them or their inverses to
+coordinate vectors, and ``nf_vector`` applies the inverses to the
+pairings of a class with the basis.  A class meets the basis in one
 place, ``PairingQuotient.pair_basis``, behind normal forms, radical
 membership and ``killed_by``.  It sums rows: a monomial's row holds its
 nonzero pairings with the basis elements of opposite weight and a
@@ -108,16 +108,17 @@ class SphereParams(_SphereFields):
         return 2 * self.r
 
 
-def contributing_level(params: SphereParams, total_degree: int) -> Optional[int]:
-    """The unique level n <= -1 with total_degree = 2(r n + g - 1), if any;
-    params given -r give the level at |r|, since SphereParams stores |r|."""
+def contributing_level(params: SphereParams, total_degree: int,
+                       n_filter: Optional[int] = None) -> Optional[int]:
+    """The unique level n <= -1 with total_degree = 2(r n + g - 1), if any
+    and if it is n_filter when that is set: the one test of the filter."""
     if total_degree < 0 or total_degree % 2:
         return None
     num = total_degree // 2 - (params.g - 1)
     if num % params.r:
         return None
     n = num // params.r
-    return n if n <= -1 else None
+    return n if n <= -1 and (n_filter is None or n == n_filter) else None
 
 
 def _gamma_eval(g: int, gammas: Tuple[int, ...], n: int) -> Fraction:
@@ -132,9 +133,9 @@ def _gamma_eval(g: int, gammas: Tuple[int, ...], n: int) -> Fraction:
 
 def mono_pair(params: SphereParams, m1: ExtMono, m2: ExtMono,
               n_filter: Optional[int] = None) -> Fraction:
-    """class_pair on two monomials; params given -r pair at |r|."""
-    n = contributing_level(params, m1.degree + m2.degree)
-    if n is None or (n_filter is not None and n != n_filter):
+    """class_pair on two monomials."""
+    n = contributing_level(params, m1.degree + m2.degree, n_filter)
+    if n is None:
         return ZERO
     sign, gam = _merge_sign(m1.gammas, m2.gammas)
     if sign == 0:
@@ -148,8 +149,7 @@ def class_pair(params: SphereParams, z1: ExtClass, z2: ExtClass,
     invariant sw(n, z1 ^ z2).
 
     Only levels with 0 <= r n + g - 1 <= deg(z1 z2)/2 can contribute, and
-    for homogeneous inputs at most one does.  params given -r pair at |r|,
-    since SphereParams stores |r|.
+    for homogeneous inputs at most one does.
     """
     if z1.g != params.g or z2.g != params.g:
         raise DomainError("genus mismatch against params")
@@ -187,8 +187,7 @@ def _pair_blocks(params: SphereParams, n_filter: Optional[int],
 @lru_cache(maxsize=None)
 def _radical(params: SphereParams, n_filter: Optional[int]):
     """The radical of the pairing: the z of degree <= 2d with
-    pair(z, m) = 0 for every monomial m of degree <= 2d.  params has
-    r > 0 (SphereParams folds the sign).
+    pair(z, m) = 0 for every monomial m of degree <= 2d.
 
     Returns (pieces, mixed).  pieces[q] is the homogeneous piece of
     degree q, the canonical kernel basis over monos_of_degree(g, q); its
@@ -387,13 +386,10 @@ class PairingQuotient:
         """The e_l that m can pair with: mono_pair vanishes unless the two
         torus weights are opposite (gram-structure certifies this) and the
         total degree has a contributing level, n_filter if one is set."""
-        partners = []
-        for l in self.weight_groups.get(
-                tuple(-x for x in mono_weight(self.g, m)), ()):
-            n = contributing_level(self.params, m.degree + self.labels[l].degree)
-            if n is not None and self.n_filter in (None, n):
-                partners.append(l)
-        return partners
+        opposite, q = tuple(-x for x in mono_weight(self.g, m)), m.degree
+        return [l for l in self.weight_groups.get(opposite, ())
+                if contributing_level(self.params, q + self.labels[l].degree,
+                                      self.n_filter) is not None]
 
     def label_pair(self, L1: BasisLabel, L2: BasisLabel) -> Fraction:
         """The pairing of two basis elements, from their labels.
@@ -406,9 +402,9 @@ class PairingQuotient:
         P_k(w, w') (-n)^(g-k-B) / (g-k-B)!.
         """
         j = self.g - L1.k - L1.b - L2.b
-        n = contributing_level(self.params, L1.degree + L2.degree)
-        if L1.k != L2.k or j < 0 or n is None or \
-                (self.n_filter is not None and n != self.n_filter):
+        n = contributing_level(self.params, L1.degree + L2.degree,
+                               self.n_filter)
+        if L1.k != L2.k or j < 0 or n is None:
             return ZERO
         return primitive_pair(self.g, L1.k, L1.w, L2.w) * \
             Fraction((-n) ** j, factorial(j))

@@ -89,3 +89,10 @@ def test_13_verify_output_is_byte_identical(line, capsys):
     assert main(line.split()) == 0
     out = capsys.readouterr().out.encode()
     assert [hashlib.sha256(out).hexdigest(), len(out)] == VERIFY_DIGESTS[line]
+
+
+@pytest.mark.parametrize("g, r", SWEEP)
+def test_14_negative_twist_verifies(g, r):
+    # V_-r is V_r by conjugation: every per-case check folds the sign of r
+    fails = {name: fn([(g, -r)]) for name, fn, per_case in CHECKS if per_case}
+    assert not any(fails.values()), fails

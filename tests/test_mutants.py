@@ -19,8 +19,6 @@ kill it, which adds its entry when it does:
      and 4.
   6. deformation_components adding the next ladder term to the base at
      g >= 5: item 4.
-  7. element_from_vector dropping the last coordinate: item 9, the round
-     trip nf_vector(element_from_vector(v)) == v.
 """
 
 import importlib
@@ -35,7 +33,7 @@ from swfloer.swpair import PairingQuotient
 
 # the package's lru_caches, by module and name
 CACHES = {
-    "extalg.theta_class", "extalg.theta_power", "extalg.primitive_basis",
+    "extalg.theta_power", "extalg.primitive_basis",
     "swpair.monos_of_degree", "swpair._radical", "swpair.primitive_pair",
     "floerring._run_recursion", "floerring._presentation_sector",
     "floerring._oracle",
@@ -91,6 +89,10 @@ def always_in_radical(is_in_radical):
     return lambda self, z: True
 
 
+def drop_last_coordinate(element_from_vector):
+    return lambda self, vec: element_from_vector(self, list(vec)[:-1])
+
+
 def row_without_first_entry(row):
     return lambda self, m: row(self, m)[1:]
 
@@ -123,6 +125,8 @@ MUTANTS = [
      ["gluing-cap"]),
     (3, PairingQuotient, "is_in_radical", always_in_radical,
      ["high-degree-vanishing"]),
+    (7, PairingQuotient, "element_from_vector", drop_last_coordinate,
+     ["high-degree-vanishing"]),
     (8, PairingQuotient, "killed_by", first_factor_only,
      ["middle-coefficient"]),
     (10, PairingQuotient, "_row", row_without_first_entry,
@@ -142,3 +146,17 @@ def test_verify_fails_under_mutant(row, target, name, patch, checks,
     monkeypatch.setattr(target, name, patch(getattr(target, name)))
     registry = {check: fn for check, fn, _ in cli.CHECKS}
     assert any(registry[check](cli.SWEEP) for check in checks), row
+
+
+# the sweep cases with d >= 1, the ones with basis elements off weight 0
+OFF_WEIGHT_CASES = [(g, r) for g, r in cli.SWEEP if r < g - 1]
+
+
+@pytest.mark.parametrize("g, r", OFF_WEIGHT_CASES)
+def test_gluing_cap_catches_row_2_in_every_case(g, r, monkeypatch):
+    # the seeded tables pair one weight block, so the negated-key inverse
+    # form reads the wrong one at each case, not only somewhere in the
+    # sweep; no cache holds a pair_vectors result, so none is cleared
+    monkeypatch.setattr(PairingQuotient, "pair_vectors",
+                        inverse_with_the_negation(PairingQuotient.pair_vectors))
+    assert cli.check_gluing_cap([(g, r)])

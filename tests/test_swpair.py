@@ -77,6 +77,9 @@ def test_contributing_level_examples():
     # at most one level fits a given total degree, by construction
     p41 = SphereParams(4, 1)
     assert [contributing_level(p41, t) for t in (0, 2, 4, 6)] == [-3, -2, -1, None]
+    # the level filter keeps its own level and drops every other
+    assert [contributing_level(p41, t, -2) for t in (0, 2, 4, 6)] == \
+        [None, -2, None, None]
 
 
 def test_params_fold_the_sign_of_the_twist():

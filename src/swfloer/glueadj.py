@@ -215,9 +215,10 @@ def kernel_pairing_rank(g: int, r: int) -> int:
 # -- vanishing witnesses ---------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _cycle_subspace(g: int, r: int) -> Tuple[Tuple[Fraction, ...], ...]:
-    """Basis of {phi : gamma_j . phi = 0 for j <= d}, in oracle coordinates."""
-    ring = build_oracle(g, r)
+def _cycle_subspace(params: SphereParams) -> Tuple[Tuple[Fraction, ...], ...]:
+    """Basis of {phi : gamma_j . phi = 0 for j <= d}, in oracle coordinates;
+    one per (g, |r|)."""
+    ring = build_oracle(*params)
     return ring.killed_by([ExtMono(0, (j,)) for j in range(1, ring.d + 1)])
 
 
@@ -227,7 +228,8 @@ def in_vanishing_cycle_ideal(g: int, r: int, vec: Sequence[Fraction]) -> bool:
     and the pairing is nondegenerate, the ideal is the pairing-orthogonal of
     {phi : gamma_j . phi = 0 for j <= d}."""
     ring = build_oracle(g, r)
-    return not any(ring.pair_vectors(vec, phi) for phi in _cycle_subspace(g, r))
+    return not any(ring.pair_vectors(vec, phi)
+                   for phi in _cycle_subspace(ring.params))
 
 
 def vanishing_witness(g: int, r: int, m: ExtMono) -> bool:

@@ -1,7 +1,7 @@
 """Exact linear algebra over Q.
 
 Everything downstream (annihilators, Gram matrices, normal forms) reduces to
-row reduction of matrices with Fraction entries, so the conventions here are
+row reduction of matrices with rational entries, so the conventions here are
 pinned down once and for all:
 
   * ``rref`` returns the reduced row echelon form, which is unique, together
@@ -13,9 +13,12 @@ pinned down once and for all:
     matrix eliminated block by block gives the same basis as assembled.
   * ``reduce_by_rref`` reduces a vector modulo the row space of an rref
     by clearing its pivot coordinates.
+  * ``integer_rref`` eliminates fraction-free; swpair ranks and inverts
+    (``integer_invert``) its integer pairing blocks with it.
 
 No floats are ever produced: ``frac`` coerces every entry and coefficient
-in the package to Fraction and rejects a float with a DomainError.
+in the package to Fraction and rejects a float with a DomainError.  Only
+``integer_rref`` returns ints: integer multiples of the rref's rows.
 
 >>> m = QMatrix([[1, 1], [0, 1]])
 >>> invert(m).to_rows()
@@ -27,6 +30,7 @@ in the package to Fraction and rejects a float with a DomainError.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import DomainError, SingularMatrix
@@ -244,12 +248,54 @@ def reduce_by_rref(vec: Sequence, reduced: QMatrix,
 
 def invert(m: QMatrix) -> QMatrix:
     """Inverse of a square matrix; raises SingularMatrix when rank < n."""
-    if m.nrows != m.ncols:
-        raise DomainError("only square matrices can be inverted")
-    n = m.nrows
-    aug = [list(m.row(i)) + [ONE if j == i else ZERO for j in range(n)]
-           for i in range(n)]
-    rows, pivots = _rref_rows(aug, 2 * n)
-    if len([p for p in pivots if p < n]) < n:
-        raise SingularMatrix(f"matrix of size {n} has rank {len([p for p in pivots if p < n])}")
+    rows, n = _augmented(m, _rref_rows)
     return QMatrix([r[n:] for r in rows], n)
+
+
+def integer_invert(m: QMatrix) -> QMatrix:
+    """invert, by integer_rref: the same entries."""
+    rows, n = _augmented(m, integer_rref)
+    return QMatrix([[Fraction(v, r[i]) for v in r[n:]] for i, r in enumerate(rows)], n)
+
+
+def _augmented(m: QMatrix, eliminate) -> Tuple[List[list], int]:
+    """[m | 1] eliminated, and n; SingularMatrix when rank < n."""
+    n = m.nrows
+    if n != m.ncols:
+        raise DomainError("only square matrices can be inverted")
+    rows, pivots = eliminate([list(m.row(i)) + [ONE if j == i else ZERO for j in range(n)]
+                              for i in range(n)], 2 * n)
+    rank = len([p for p in pivots if p < n])
+    if rank < n:
+        raise SingularMatrix(f"matrix of size {n} has rank {rank}")
+    return rows, n
+
+
+def integer_rref(rows: Iterable[Sequence], ncols: int) -> Tuple[List[List[int]], List[int]]:
+    """Fraction-free Gauss-Jordan elimination: (rows, pivots), row i a
+    nonzero multiple of row i of the rref.  A row is scaled to integers by
+    its common denominator (frac checks each entry that is not an int), and
+    every row is divided by its content."""
+    out = []
+    for row in rows:
+        row = [v if isinstance(v, int) else frac(v) for v in row]
+        den = lcm(*(v.denominator for v in row))
+        out.append(_primitive([v.numerator * (den // v.denominator) for v in row]))
+    pivots: List[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        top = next((i for i in range(r, len(out)) if out[i][c]), None)
+        if top is None:
+            continue
+        out[r], out[top] = out[top], out[r]
+        prow = out[r]
+        out = [row if i == r or not row[c] else _primitive(
+            [prow[c] * a - row[c] * b for a, b in zip(row, prow)])
+            for i, row in enumerate(out)]
+        pivots.append(c)
+    return out, pivots
+
+
+def _primitive(row: List[int]) -> List[int]:
+    h = gcd(*row)
+    return [v // h for v in row] if h > 1 else row

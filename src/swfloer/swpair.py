@@ -41,17 +41,21 @@ pairing between the monomials of weight lambda and those of weight
 factorisation of the basis (``PairingQuotient.label_pair``).
 ``PairingQuotient.pair_vectors`` applies them or their inverses to
 coordinate vectors, and ``nf_vector`` applies the inverses to the
-pairings of a class with the basis.  A class meets the basis in one
-place, ``PairingQuotient.pair_basis``, behind normal forms, radical
-membership and ``killed_by``.  It sums rows: a monomial's row holds its
-nonzero pairings with the basis elements of opposite weight and a
-contributing degree, each computed by mono_pair over the terms of the
-basis element.  A row is filled on the monomial's first use and kept for
-the ring's life, so a patch to mono_pair made after a ring is built does
-not reach the rows it already holds.  The radical itself,
-homogeneous pieces degree by degree and then the mixed-degree
-corrections, is ``_radical``, computed only when asked for by the
-quotient's ``radical_*`` methods.  Both it and ``weight_ranks`` read the
+pairings of a class with the basis.  Below the inverse blocks every
+value is an integer: mono_pair, the basis coefficients, the rows and the
+Gram block entries are computed in int, and the weight and Gram blocks
+are ranked and inverted fraction-free (qlinalg.integer_rref); class
+coefficients, the inverse blocks and normal forms are Fractions.  A
+class meets the basis in one place, ``PairingQuotient.pair_basis``,
+behind normal forms, radical membership and ``killed_by``.  It sums
+rows: a monomial's row holds its nonzero pairings with the basis
+elements of opposite weight and a contributing degree, each computed by
+mono_pair over the terms of the basis element.  A row is filled on the
+monomial's first use and kept for the ring's life, so a patch to
+mono_pair made after a ring is built does not reach the rows it already
+holds.  The radical itself, homogeneous pieces degree by degree and
+then the mixed-degree corrections, is ``_radical``, computed only when
+asked for by the quotient's ``radical_*`` methods.  Both it and ``weight_ranks`` read the
 weight blocks of the monomial pairing from ``_pair_blocks``.
 """
 
@@ -72,10 +76,9 @@ from .extalg import (
     monomials_up_to,
     primitive_basis,
     theta_power,
-    top_eval,
     wedge,
 )
-from .qlinalg import QMatrix, block_kernel, invert, rank, rref
+from .qlinalg import QMatrix, block_kernel, integer_invert, integer_rref, rref
 
 ZERO = Fraction(0)
 
@@ -121,25 +124,25 @@ def contributing_level(params: SphereParams, total_degree: int,
     return n if n <= -1 and (n_filter is None or n == n_filter) else None
 
 
-def _gamma_eval(g: int, gammas: Tuple[int, ...], n: int) -> Fraction:
+def _gamma_eval(g: int, gammas: Tuple[int, ...], n: int) -> int:
     """top_eval(g_W ^ exp(-n theta)) for the sorted gamma set W = gammas:
     (-1)^(m(m-1)/2) (-n)^(g-m) if W is the union of m pairs {i, g+i},
     and 0 otherwise."""
     m, odd = divmod(len(gammas), 2)
     if odd or gammas[m:] != tuple(i + g for i in gammas[:m]):
-        return ZERO
-    return Fraction((-1) ** (m * (m - 1) // 2) * (-n) ** (g - m))
+        return 0
+    return (-1) ** (m * (m - 1) // 2) * (-n) ** (g - m)
 
 
 def mono_pair(params: SphereParams, m1: ExtMono, m2: ExtMono,
-              n_filter: Optional[int] = None) -> Fraction:
-    """class_pair on two monomials."""
+              n_filter: Optional[int] = None) -> int:
+    """class_pair on two monomials, an integer."""
     n = contributing_level(params, m1.degree + m2.degree, n_filter)
     if n is None:
-        return ZERO
+        return 0
     sign, gam = _merge_sign(m1.gammas, m2.gammas)
     if sign == 0:
-        return ZERO
+        return 0
     return sign * _gamma_eval(params.g, gam, n)
 
 
@@ -169,7 +172,7 @@ def monos_of_degree(g: int, q: int) -> Tuple[ExtMono, ...]:
 
 def _pair_blocks(params: SphereParams, n_filter: Optional[int],
                  cols: Sequence[ExtMono], rows: Sequence[ExtMono]
-                 ) -> Iterator[Tuple[Tuple[int, ...], List[int], List[List[Fraction]]]]:
+                 ) -> Iterator[Tuple[Tuple[int, ...], List[int], List[List[int]]]]:
     """The mono_pair matrix between cols and rows, weight block by weight
     block: for each weight lambda of a column, in order of first
     appearance, (lambda, the indices of the columns of weight lambda, the
@@ -229,22 +232,28 @@ def weight_ranks(params: SphereParams, n_filter: Optional[int] = None
     of weight -lambda.  The radical splits by weight, so this is the
     dimension of the weight-lambda part of the quotient by the radical.
 
-    Columns and rows are taken by degree, highest first; with columns in
+    The blocks are integer (mono_pair is) and are eliminated fraction-free,
+    columns and rows taken by degree, highest first; with columns in
     increasing order the elimination fills in and takes several times
     longer.
     """
     monos = sorted(monomials_up_to(params.g, 2 * params.d),
                    key=lambda m: -m.degree)
-    return {w: rank(block, len(idx))
+    return {w: len(integer_rref(block, len(idx))[1])
             for w, idx, block in _pair_blocks(params, n_filter, monos, monos)}
 
 
 @lru_cache(maxsize=None)
-def primitive_pair(g: int, k: int, w: int, w2: int) -> Fraction:
-    """P_k(w, w') = top_eval(w ^ w' ^ theta^(g-k)) for the primitive basis
-    elements w, w' of degree k."""
+def primitive_pair(g: int, k: int, w: int, w2: int) -> int:
+    """P_k(w, w') / (g-k)!, P_k(w, w') = top_eval(w ^ w' ^ theta^(g-k)) for
+    the primitive basis elements w, w' of degree k: the signed sum of
+    _gamma_eval(g, W, -1) = top_eval(g_W ^ theta^(g-k)) / (g-k)! over the
+    merged gamma sets W of their terms, an int as the basis is integral."""
     pb = primitive_basis(g, k)
-    return top_eval(wedge(wedge(pb[w], pb[w2]), theta_power(g, g - k)))
+    v = sum(c1 * c2 * sign * _gamma_eval(g, gam, -1)
+            for m1, c1 in pb[w].terms.items() for m2, c2 in pb[w2].terms.items()
+            for sign, gam in [_merge_sign(m1.gammas, m2.gammas)] if sign)
+    return v.numerator if v.denominator == 1 else v
 
 
 class BasisLabel(NamedTuple):
@@ -312,8 +321,11 @@ class PairingQuotient:
         self.labels = canonical_labels(self.g, self.d)
         self.basis = [label_element(self.g, L) for L in self.labels]
         self.dim = len(self.basis)
+        # the basis terms, integral coefficients as int: rows sum in int
+        self._terms = [[(m, c.numerator if c.denominator == 1 else c)
+                        for m, c in e.terms.items()] for e in self.basis]
         # monomial -> its pair_basis row, filled on first use
-        self._rows: Dict[ExtMono, Tuple[Tuple[int, Fraction], ...]] = {}
+        self._rows: Dict[ExtMono, Tuple[Tuple[int, int], ...]] = {}
         # torus weight -> indices of the basis elements of that weight
         self.weight_groups: Dict[Tuple[int, ...], List[int]] = {}
         self._weight_of: List[Tuple[int, ...]] = []
@@ -348,7 +360,7 @@ class PairingQuotient:
                     f"{len(rows)} of the opposite weight")
             block = QMatrix([[self.label_pair(self.labels[i], self.labels[l])
                               for i in cols] for l in rows], ncols=len(cols))
-            self._weight_blocks[w] = (cols, rows, block, invert(block))
+            self._weight_blocks[w] = (cols, rows, block, integer_invert(block))
 
     # -- pairing and Gram --------------------------------------------------
 
@@ -368,13 +380,14 @@ class PairingQuotient:
                 out[l] = out[l] + c * v if l in out else c * v
         return {l: v for l, v in out.items() if v}
 
-    def _row(self, m: ExtMono) -> Tuple[Tuple[int, Fraction], ...]:
+    def _row(self, m: ExtMono) -> Tuple[Tuple[int, int], ...]:
         """((l, pair(m, e_l)), ...) over the _partners of m, nonzero values
-        only, each value summed by mono_pair over the terms of e_l."""
+        only, each value summed by mono_pair over the terms of e_l, in int
+        as the basis is integral."""
         row = []
         for l in self._partners(m):
-            v = ZERO
-            for t, c in self.basis[l].terms.items():
+            v = 0
+            for t, c in self._terms[l]:
                 p = mono_pair(self.params, m, t, self.n_filter)
                 if p:
                     v += c * p
@@ -391,7 +404,7 @@ class PairingQuotient:
                 if contributing_level(self.params, q + self.labels[l].degree,
                                       self.n_filter) is not None]
 
-    def label_pair(self, L1: BasisLabel, L2: BasisLabel) -> Fraction:
+    def label_pair(self, L1: BasisLabel, L2: BasisLabel) -> int:
         """The pairing of two basis elements, from their labels.
 
         With e = w x^a theta^b (w primitive of degree k) and x, theta
@@ -399,15 +412,15 @@ class PairingQuotient:
         B = b + b', at the one level n that fits degree 2(k + A + B).
         top_eval(w w' theta^m) vanishes unless k = k' and m = g - k (the
         Lefschetz decomposition), which leaves
-        P_k(w, w') (-n)^(g-k-B) / (g-k-B)!.
+        P_k(w, w') (-n)^(g-k-B) / (g-k-B)!, an integer as g-k-B <= g-k.
         """
         j = self.g - L1.k - L1.b - L2.b
         n = contributing_level(self.params, L1.degree + L2.degree,
                                self.n_filter)
         if L1.k != L2.k or j < 0 or n is None:
-            return ZERO
+            return 0
         return primitive_pair(self.g, L1.k, L1.w, L2.w) * \
-            Fraction((-n) ** j, factorial(j))
+            (factorial(self.g - L1.k) // factorial(j)) * (-n) ** j
 
     def pair_vectors(self, u: Sequence[Fraction], v: Sequence[Fraction],
                      inverse: bool = False) -> Fraction:

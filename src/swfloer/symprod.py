@@ -237,7 +237,11 @@ class SectorQuotient:
     to weight ``cap``, truncated above ``cap``, with columns ordered by
     (in basis, weight, eta exponent descending), so the reduction certifies
     the basis exactly when every pivot lands outside it; otherwise it
-    raises VerificationFailure.
+    raises VerificationFailure.  The multiples of a single-monomial
+    generator are the unit rows of the monomials it divides, and a unit
+    vector in the row space is a row of the unique rref: those columns
+    are dropped, one rref runs on the rest, and the unit rows go back in
+    by pivot.
 
     The basis holds no monomial of weight ``cap``, so the certificate also
     proves that the whole of weight ``cap`` lies in the ideal, and every
@@ -258,22 +262,39 @@ class SectorQuotient:
                       key=lambda ab: (ab in in_basis, ab[0] + ab[1], -ab[0]))
         self._cols = cols
         self._index = {ab: j for j, ab in enumerate(cols)}
-        rows = []
+        units, rows = set(), []
         for gen in generators:
             if gen.is_zero():
+                continue
+            if len(gen.terms) == 1:
+                (ab,) = gen.terms
+                units.update(self._divided(ab))
                 continue
             low = gen.weights()[0]
             for m in range(cap - low + 1):
                 for i in range(m + 1):
                     rows.append(self._vector(gen * BiPoly.monomial(i, m - i)))
-        reduced, pivots, rank = rref(QMatrix(rows, ncols=len(cols)))
-        if rank != len(cols) - len(self.basis) or \
+        keep = [j for j in range(len(cols)) if j not in units]
+        reduced, local, _ = rref(QMatrix([[row[j] for j in keep] for row in rows],
+                                         ncols=len(keep)))
+        # pivot column -> the nonzero entries of its rref row
+        full = {j: {j: ONE} for j in units}
+        full.update((keep[p], dict(zip(keep, row)))
+                    for p, row in zip(local, reduced.to_rows()))
+        pivots = tuple(sorted(full))
+        if len(pivots) != len(cols) - len(self.basis) or \
                 any(cols[p] in in_basis for p in pivots):
             raise VerificationFailure(
                 f"relations {', '.join(render_bipoly(g) for g in generators)} "
                 f"do not complement the basis {self.basis} up to weight {cap}")
-        self._reduced = reduced
+        self._reduced = QMatrix([[full[p].get(j, ZERO) for j in range(len(cols))]
+                                 for p in pivots], ncols=len(cols))
         self._pivots = pivots
+
+    def _divided(self, ab: Tuple[int, int]) -> List[int]:
+        """The columns of the monomials that eta^a theta^b divides."""
+        return [j for (a, b), j in self._index.items()
+                if a >= ab[0] and b >= ab[1]]
 
     @property
     def dim(self) -> int:

@@ -5,7 +5,8 @@ elements as classes, the cap table of a basis element, the
 gamma-annihilated subspace and the vanishing-cycle ideal from products,
 splitting by degree or weight, sums folded term by term, the wedge with
 its signs from inversions, the quotient dimension from one weight block
-per Weyl orbit, and a deadline."""
+per Weyl orbit, a sector quotient's rref from all the multiples of its
+generators, and a deadline."""
 
 import signal
 from contextlib import contextmanager
@@ -206,6 +207,27 @@ def weyl_orbit_dimension(g, r):
                 for m, w in zip(monos, weights) if w == neg]
         total += rank(rows, len(cols)) * 2 ** j * comb(g, j)
     return total
+
+
+def dense_sector(quotient, generators):
+    """The rref rows and pivots of a SectorQuotient built the dense way:
+    every monomial multiple of every generator up to weight cap, truncated
+    above cap, in one rref on the quotient's columns.  The reference for
+    the constructor, which sets the unit rows of monomial generators
+    aside."""
+    cap, index = quotient.cap, {ab: j for j, ab in enumerate(quotient._cols)}
+    rows = []
+    for gen in generators:
+        low = min(a + b for a, b in gen.terms)
+        for m in range(cap - low + 1):
+            for i in range(m + 1):
+                row = [Fraction(0)] * len(index)
+                for (a, b), c in (gen * BiPoly.monomial(i, m - i)).terms.items():
+                    if a + b <= cap:
+                        row[index[(a, b)]] = c
+                rows.append(row)
+    reduced, pivots, rank = rref(QMatrix(rows, len(index)))
+    return QMatrix(reduced.to_rows()[:rank], len(index)), pivots
 
 
 @contextmanager

@@ -35,7 +35,7 @@ from swfloer.symprod import (
     ring_oracle,
 )
 
-from helpers import weight_component, weyl_orbit_dimension
+from helpers import dense_sector, weight_component, weyl_orbit_dimension
 
 F = Fraction
 
@@ -273,6 +273,21 @@ def test_correction_tail_needed():
 
 
 # -- sector presentation ---------------------------------------------------
+
+def test_presentation_sectors_are_the_dense_rref():
+    # eta^(d+1) and theta^(d+1) are set aside as unit rows; all the
+    # multiples of all four generators in one rref give the same sector
+    for g in range(2, 7):
+        for r in range(1, g):
+            d = g - 1 - r
+            for k in range(d + 1):
+                gens = [tilde_relation(g, r, k),
+                        BiPoly.theta(1) * tilde_relation(g, r, k + 1),
+                        BiPoly.eta(d + 1), BiPoly.theta(d + 1)]
+                quo = presentation_quotient(g, r, k)
+                want = dense_sector(quo, gens)
+                assert (quo._reduced, quo._pivots) == want, (g, r, k)
+
 
 def test_presentation_basis_examples():
     assert presentation_quotient(2, 1, 0).basis == [(0, 0)]

@@ -340,8 +340,19 @@ def test_ideal_membership_matches_product_rows():
             want = not any(reduce_by_rref(vec, reduced, pivots))
             assert in_vanishing_cycle_ideal(g, r, vec) == want, (g, r, vec)
             answers.add(want)
-        assert len(glueadj._cycle_subspace(g, r)) == ring.dim - len(pivots)
+        assert len(glueadj._cycle_subspace(ring.params)) == \
+            ring.dim - len(pivots)
     assert answers == {True, False}
+
+
+def test_cycle_subspace_is_built_once_per_folded_twist():
+    # V_-r is V_r: the subspace is cached on SphereParams, not the signed r
+    glueadj._cycle_subspace.cache_clear()
+    vec = (F(1),) + (F(0),) * (build_oracle(4, 1).dim - 1)
+    assert in_vanishing_cycle_ideal(4, -1, vec) == \
+        in_vanishing_cycle_ideal(4, 1, vec)
+    info = glueadj._cycle_subspace.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_vanishing_witness_raises_outside_the_ideal(monkeypatch):
@@ -349,7 +360,7 @@ def test_vanishing_witness_raises_outside_the_ideal(monkeypatch):
     # orthogonal, is zero, so a nonzero monomial above degree d is
     # reported outside it
     ring = build_oracle(3, 1)
-    monkeypatch.setattr(glueadj, "_cycle_subspace", lambda g, r: tuple(
+    monkeypatch.setattr(glueadj, "_cycle_subspace", lambda params: tuple(
         tuple(F(int(i == j)) for j in range(ring.dim)) for i in range(ring.dim)))
     with pytest.raises(VerificationFailure):
         vanishing_witness(3, 1, ExtMono(1, ()))

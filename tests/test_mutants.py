@@ -8,6 +8,10 @@ cleared before and after each entry: monkeypatch restores attributes but
 not cached results, and a result computed under a mutant must not reach
 a later test.
 
+A mutant under which a build raises VerificationFailure stops `swfloer
+verify` with exit status 1 before any check reports; those are listed
+apart (RAISING) and run through `verify --all` in process.
+
 Entries are never removed or loosened.  The mutants that still pass
 `verify --all` are listed here, each with the ROADMAP item expected to
 kill it, which adds its entry when it does:
@@ -30,6 +34,7 @@ import pytest
 import swfloer
 from swfloer import cli, swpair
 from swfloer.swpair import PairingQuotient
+from swfloer.symprod import SectorQuotient
 
 # the package's lru_caches, by module and name
 CACHES = {
@@ -119,6 +124,18 @@ def rows_keyed_by_gammas(init):
     return patched
 
 
+def rank_one_short(integer_rref):
+    # one pivot short on every weight block with more than one row
+    def patched(rows, ncols):
+        out, pivots = integer_rref(rows, ncols)
+        return out, pivots[:-1] if len(rows) > 1 else pivots
+    return patched
+
+
+def one_unit_column_short(divided):
+    return lambda self, ab: divided(self, ab)[1:]
+
+
 # (row of the ROADMAP survey, target, attribute, patch, checks)
 MUTANTS = [
     (2, PairingQuotient, "pair_vectors", inverse_with_the_negation,
@@ -160,3 +177,20 @@ def test_gluing_cap_catches_row_2_in_every_case(g, r, monkeypatch):
     monkeypatch.setattr(PairingQuotient, "pair_vectors",
                         inverse_with_the_negation(PairingQuotient.pair_vectors))
     assert cli.check_gluing_cap([(g, r)])
+
+
+# (target, attribute, patch) of the mutants under which a build raises
+RAISING = [
+    (swpair, "integer_rref", rank_one_short),
+    (SectorQuotient, "_divided", one_unit_column_short),
+]
+
+
+@pytest.mark.parametrize("target, name, patch", RAISING,
+                         ids=[m[1] for m in RAISING])
+def test_verify_all_fails_under_raising_mutant(target, name, patch,
+                                               clean_caches, monkeypatch,
+                                               capsys):
+    monkeypatch.setattr(target, name, patch(getattr(target, name)))
+    assert cli.main(["verify", "--all"]) == 1
+    assert capsys.readouterr().err.startswith("VerificationFailure")

@@ -6,7 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swfloer.errors import DomainError, SingularMatrix
-from swfloer.qlinalg import QMatrix, block_kernel, invert, kernel_basis, rref
+from swfloer.qlinalg import (
+    QMatrix,
+    block_kernel,
+    integer_invert,
+    integer_rref,
+    invert,
+    kernel_basis,
+    rank,
+    rref,
+)
 
 from helpers import identity, matmul
 
@@ -98,16 +107,34 @@ def test_floats_rejected():
         QMatrix([[0.5]])
 
 
+def test_integer_invert_singular_raises():
+    with pytest.raises(SingularMatrix):
+        integer_invert(QMatrix([[2, 4], [3, 6]]))
+
+
+def test_integer_rref_rejects_floats():
+    with pytest.raises(DomainError):
+        integer_rref([[1, 0.5]], 2)
+
+
 small_entries = st.integers(min_value=-7, max_value=7)
+rational_entries = st.fractions(min_value=-7, max_value=7, max_denominator=6)
 
 
 @st.composite
-def matrices(draw, max_dim=5):
+def matrices(draw, max_dim=5, entries=small_entries):
     n = draw(st.integers(min_value=1, max_value=max_dim))
     m = draw(st.integers(min_value=1, max_value=max_dim))
-    rows = draw(st.lists(st.lists(small_entries, min_size=m, max_size=m),
+    rows = draw(st.lists(st.lists(entries, min_size=m, max_size=m),
                          min_size=n, max_size=n))
     return QMatrix(rows)
+
+
+@st.composite
+def square_matrices(draw, entries, max_dim=5):
+    n = draw(st.integers(min_value=1, max_value=max_dim))
+    return QMatrix(draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                 min_size=n, max_size=n)))
 
 
 @st.composite
@@ -157,3 +184,26 @@ class TestProperties:
     def test_rank_nullity(self, m):
         _, _, rank = rref(m)
         assert rank + len(kernel_basis(m)) == m.ncols
+
+    @given(st.one_of(matrices(), matrices(entries=rational_entries)))
+    @settings(max_examples=100, deadline=None)
+    def test_integer_rref_rows_are_rref_multiples(self, m):
+        reduced, pivots, k = rref(m)
+        rows, int_pivots = integer_rref(m.to_rows(), m.ncols)
+        assert len(int_pivots) == k == rank(m.to_rows(), m.ncols)
+        assert tuple(int_pivots) == pivots
+        for i, p in enumerate(pivots):
+            assert [Fraction(v, rows[i][p]) for v in rows[i]] == \
+                list(reduced.row(i))
+
+    @given(st.one_of(square_matrices(small_entries),
+                     square_matrices(rational_entries)))
+    @settings(max_examples=100, deadline=None)
+    def test_integer_invert_is_invert(self, m):
+        try:
+            want = invert(m)
+        except SingularMatrix:
+            with pytest.raises(SingularMatrix):
+                integer_invert(m)
+        else:
+            assert integer_invert(m) == want

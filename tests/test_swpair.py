@@ -23,7 +23,7 @@ from swfloer.extalg import (
     top_eval,
     wedge,
 )
-from swfloer.qlinalg import QMatrix, invert, kernel_basis
+from swfloer.qlinalg import QMatrix, invert, kernel_basis, rank
 from swfloer import floerring, swpair
 from swfloer.swpair import (
     PairingQuotient,
@@ -392,6 +392,19 @@ def test_weight_ranks_sum_to_the_radical_codimension(g, r, n_filter):
         + len(Q.mixed_radical_elements())
     assert sum(ranks.values()) == len(Q.monos) - radical_dim == Q.dim
     assert sorted(ranks) == sorted({mono_weight(g, m) for m in Q.monos})
+
+
+@pytest.mark.parametrize("n_filter", [None, -1])
+def test_weight_ranks_are_the_fraction_ranks(n_filter):
+    # the fraction-free rank of every weight block up to genus 6 against
+    # the Fraction elimination of qlinalg.rank
+    for g in range(2, 7):
+        for r in range(1, g):
+            p = SphereParams(g, r)
+            monos = sorted(monomials_up_to(g, 2 * p.d), key=lambda m: -m.degree)
+            want = {w: rank(block, len(idx)) for w, idx, block in
+                    swpair._pair_blocks(p, n_filter, monos, monos)}
+            assert weight_ranks(p, n_filter) == want, (g, r)
 
 
 def test_dropping_a_basis_element_fails_the_rank_certificate(monkeypatch):

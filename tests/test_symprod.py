@@ -24,6 +24,8 @@ from swfloer.symprod import (
     sector_quotient,
 )
 
+from helpers import dense_sector
+
 F = Fraction
 
 
@@ -113,6 +115,16 @@ def test_sector_nf_examples():
 
 def _generators(g, d, k):
     return relation_R(g, d, k), BiPoly.theta(1) * relation_R(g, d, k + 1)
+
+
+def test_sector_quotient_is_the_dense_rref():
+    # at k = d the second generator is theta alone, a monomial generator
+    for g in range(2, 7):
+        for d in range(g):
+            for k in range(d + 1):
+                quo = sector_quotient(g, d, k)
+                want = dense_sector(quo, _generators(g, d, k))
+                assert (quo._reduced, quo._pivots) == want, (g, d, k)
 
 
 def test_sector_nf_kills_ideal_generators():

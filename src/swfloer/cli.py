@@ -10,9 +10,11 @@ Each handler imports the modules it runs, so a one-shot command loads
 the pairing engine, and only verify loads the checks.
 
 Exit codes: 0 on success (all PASS for verify), 1 when a verification
-fails or an internal cross-check aborts, 2 on usage errors including
-out-of-range parameters.  A genus above GENUS_CEILING is out of range
-for every command but adjunct, whose work does not grow with the genus.
+fails or an internal cross-check aborts (under verify, an abort inside a
+check is that check's FAIL line, and the later checks still run), 2 on
+usage errors including out-of-range parameters.  A genus above
+GENUS_CEILING is out of range for every command but adjunct, whose work
+does not grow with the genus.
 """
 
 import argparse
@@ -159,7 +161,12 @@ def _cmd_verify(args, out) -> int:
         run = [check for check in CHECKS if check[2]]
     ok = True
     for name, fn, _ in run:
-        fails = fn(cases)
+        try:
+            fails = fn(cases)
+        except (VerificationFailure, SingularMatrix, InconsistentRecursion) as e:
+            # a ring or sector build that fails its own certificate fails
+            # the check that asked for it; the later checks still run
+            fails = [f"{type(e).__name__}: {e}"]
         if fails:
             ok = False
             out.write(f"FAIL {name}: {fails[0]}")

@@ -36,7 +36,7 @@ from math import comb
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DomainError, GenusMismatch
-from .qlinalg import block_kernel, frac, sum_terms
+from .qlinalg import block_kernel, exact, frac, sum_terms
 
 
 class ExtMono(NamedTuple):
@@ -121,7 +121,10 @@ def _merge_sign(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, Optional[T
 class ExtClass:
     """A finite Q-linear combination of ExtMono terms at a fixed genus,
     summed in one pass (qlinalg.sum_terms) from a mapping or from
-    (monomial, coefficient) pairs; each surviving monomial is checked."""
+    (monomial, coefficient) pairs; each surviving monomial is checked.
+    A coefficient is stored by qlinalg.exact: an int when it is integral,
+    a Fraction otherwise, so the products of integral classes stay in
+    int.  The two compare and hash alike."""
 
     __slots__ = ("g", "terms")
 
@@ -129,7 +132,7 @@ class ExtClass:
         if g < 1:
             raise DomainError(f"genus must be >= 1, got {g}")
         self.g = g
-        self.terms = sum_terms(terms)
+        self.terms = sum_terms(terms, exact)
         for m in self.terms:
             _check_mono(g, m)
 
@@ -160,8 +163,8 @@ class ExtClass:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, m: ExtMono) -> Fraction:
-        return self.terms.get(m, Fraction(0))
+    def coefficient(self, m: ExtMono):
+        return self.terms.get(m, 0)
 
     def degrees(self) -> List[int]:
         return sorted({m.degree for m in self.terms})
@@ -195,7 +198,7 @@ class ExtClass:
         return self + (-other)
 
     def scale(self, k) -> "ExtClass":
-        k = frac(k)
+        k = exact(k)
         return ExtClass(self.g, {m: c * k for m, c in self.terms.items()})
 
     def __mul__(self, other):
@@ -222,7 +225,7 @@ def wedge(u: ExtClass, v: ExtClass) -> ExtClass:
     Each pair of terms costs one product of coefficients, negated on an
     odd shuffle."""
     u._require_same_genus(v)
-    out: Dict[ExtMono, Fraction] = {}
+    out = {}
     for m1, c1 in u.terms.items():
         for m2, c2 in v.terms.items():
             sign, gam = _merge_sign(m1.gammas, m2.gammas)
@@ -270,7 +273,7 @@ def top_eval(u: ExtClass) -> Fraction:
     """
     g = u.g
     vol = ExtMono(0, tuple(range(1, 2 * g + 1)))
-    return epsilon(g) * u.coefficient(vol)
+    return frac(epsilon(g) * u.coefficient(vol))
 
 
 def gamma_monomials(g: int, k: int) -> List[Tuple[int, ...]]:
@@ -310,10 +313,10 @@ def primitive_basis(g: int, k: int) -> Tuple[ExtClass, ...]:
     power = theta_power(g, g - k + 1)
     blocks = []
     for idx in by_weight(g, cols).values():
-        rows: Dict[ExtMono, List[Fraction]] = {}
+        rows: Dict[ExtMono, List[int]] = {}
         for a, j in enumerate(idx):
             for m, c in wedge(ExtClass.monomial(g, cols[j]), power).terms.items():
-                rows.setdefault(m, [Fraction(0)] * len(idx))[a] = c
+                rows.setdefault(m, [0] * len(idx))[a] = c
         blocks.append((idx, list(rows.values())))
     return tuple(ExtClass(g, {cols[j]: c for j, c in enumerate(vec) if c})
                  for vec in block_kernel(blocks, len(cols))[0])

@@ -16,9 +16,11 @@ pinned down once and for all:
   * ``integer_rref`` eliminates fraction-free; swpair ranks and inverts
     (``integer_invert``) its integer pairing blocks with it.
 
-No floats are ever produced: ``frac`` coerces every entry and coefficient
-in the package to Fraction and rejects a float with a DomainError.  Only
-``integer_rref`` returns ints: integer multiples of the rref's rows.
+No floats are ever produced.  ``frac`` coerces every matrix entry and
+every BiPoly coefficient to Fraction, and ``exact`` every ExtClass
+coefficient to an int when it is integral and to a Fraction otherwise;
+both reject a float with a DomainError.  ``integer_rref`` returns ints:
+integer multiples of the rref's rows.
 
 >>> m = QMatrix([[1, 1], [0, 1]])
 >>> invert(m).to_rows()
@@ -48,18 +50,31 @@ def frac(v) -> Fraction:
     return Fraction(v)
 
 
-def sum_terms(terms) -> Dict:
+def exact(v):
+    """frac, with an integral result as its int; an int is kept as it is.
+
+    >>> exact(Fraction(4, 2)), exact(Fraction(1, 2)), exact(3)
+    (2, Fraction(1, 2), 3)
+    """
+    if type(v) is int:
+        return v
+    q = frac(v)
+    return q.numerator if q.denominator == 1 else q
+
+
+def sum_terms(terms, coerce=frac) -> Dict:
     """The nonzero coefficient sums, in one pass, of a mapping or of an
     iterable of (key, coefficient) pairs with repeated keys; every
-    coefficient goes through frac, and a mapping is never read as pairs."""
+    coefficient, and every sum of pairs, goes through coerce (frac or
+    exact), and a mapping is never read as pairs."""
     if isinstance(terms, Mapping):
-        sums = {k: frac(c) for k, c in terms.items()}
-    else:
-        sums = {}
-        for k, c in terms:
-            c = frac(c)
-            sums[k] = sums[k] + c if k in sums else c
-    return {k: c for k, c in sums.items() if c}
+        sums = {k: coerce(c) for k, c in terms.items()}
+        return {k: c for k, c in sums.items() if c}
+    sums = {}
+    for k, c in terms:
+        c = coerce(c)
+        sums[k] = sums[k] + c if k in sums else c
+    return {k: coerce(c) for k, c in sums.items() if c}
 
 
 class QMatrix:

@@ -44,8 +44,11 @@ coordinate vectors, and ``nf_vector`` applies the inverses to the
 pairings of a class with the basis.  Below the inverse blocks every
 value is an integer: mono_pair, the basis coefficients, the rows and the
 Gram block entries are computed in int, and the weight and Gram blocks
-are ranked and inverted fraction-free (qlinalg.integer_rref); class
-coefficients, the inverse blocks and normal forms are Fractions.  A
+are ranked and inverted fraction-free (qlinalg.integer_rref), as are
+the pairing rows of ``killed_by``.  A class coefficient is an int when
+it is integral and a Fraction otherwise (qlinalg.exact), so an integral
+class is paired in int; the inverse blocks, normal forms and
+``class_pair`` are Fractions.  A
 class meets the basis in one place, ``PairingQuotient.pair_basis``,
 behind normal forms, radical membership and ``killed_by``.  It sums
 rows: a monomial's row holds its nonzero pairings with the basis
@@ -78,7 +81,7 @@ from .extalg import (
     theta_power,
     wedge,
 )
-from .qlinalg import QMatrix, block_kernel, integer_invert, integer_rref, rref
+from .qlinalg import QMatrix, block_kernel, exact, integer_invert, integer_rref
 
 ZERO = Fraction(0)
 
@@ -250,10 +253,9 @@ def primitive_pair(g: int, k: int, w: int, w2: int) -> int:
     _gamma_eval(g, W, -1) = top_eval(g_W ^ theta^(g-k)) / (g-k)! over the
     merged gamma sets W of their terms, an int as the basis is integral."""
     pb = primitive_basis(g, k)
-    v = sum(c1 * c2 * sign * _gamma_eval(g, gam, -1)
-            for m1, c1 in pb[w].terms.items() for m2, c2 in pb[w2].terms.items()
-            for sign, gam in [_merge_sign(m1.gammas, m2.gammas)] if sign)
-    return v.numerator if v.denominator == 1 else v
+    return sum(c1 * c2 * sign * _gamma_eval(g, gam, -1)
+               for m1, c1 in pb[w].terms.items() for m2, c2 in pb[w2].terms.items()
+               for sign, gam in [_merge_sign(m1.gammas, m2.gammas)] if sign)
 
 
 class BasisLabel(NamedTuple):
@@ -321,9 +323,6 @@ class PairingQuotient:
         self.labels = canonical_labels(self.g, self.d)
         self.basis = [label_element(self.g, L) for L in self.labels]
         self.dim = len(self.basis)
-        # the basis terms, integral coefficients as int: rows sum in int
-        self._terms = [[(m, c.numerator if c.denominator == 1 else c)
-                        for m, c in e.terms.items()] for e in self.basis]
         # monomial -> its pair_basis row, filled on first use
         self._rows: Dict[ExtMono, Tuple[Tuple[int, int], ...]] = {}
         # torus weight -> indices of the basis elements of that weight
@@ -368,7 +367,8 @@ class PairingQuotient:
         """{l: pair(z, e_l)} over the canonical basis, zeros left out: the
         sum of c * pair(m, e_l) over the terms c m of z, each monomial's
         row of values filled on its first use (_row) and kept for the
-        ring's life."""
+        ring's life.  The rows are int, so a value is an int when z is
+        integral and may be a Fraction otherwise."""
         if z.g != self.g:
             raise DomainError(f"genus mismatch: class {z.g}, ring {self.g}")
         out: Dict[int, Fraction] = {}
@@ -387,7 +387,7 @@ class PairingQuotient:
         row = []
         for l in self._partners(m):
             v = 0
-            for t, c in self._terms[l]:
+            for t, c in self.basis[l].terms.items():
                 p = mono_pair(self.params, m, t, self.n_filter)
                 if p:
                     v += c * p
@@ -491,7 +491,9 @@ class PairingQuotient:
         return not self.pair_basis(z)
 
     def element_from_vector(self, vec: Sequence[Fraction]) -> ExtClass:
-        return ExtClass(self.g, ((m, c * ce) for c, e in zip(vec, self.basis)
+        """sum_i vec[i] e_i; an integral coordinate is multiplied in int."""
+        return ExtClass(self.g, ((m, c * ce)
+                                 for c, e in zip(map(exact, vec), self.basis)
                                  if c for m, ce in e.terms.items()))
 
     # -- ring structure ----------------------------------------------------
@@ -503,7 +505,8 @@ class PairingQuotient:
         have the row space, and the canonical kernel, of the multiplication
         maps, and each is read from pair_basis(a ^ e_i).  For e_i of weight w
         only the e_l of weight -(w + wt a) pair nonzero, so each weight is
-        reduced alone, stopping at full rank."""
+        reduced alone, fraction-free (the rows are integral), stopping at
+        full rank."""
         blocks = []
         for w, cols in self.weight_groups.items():
             rows = []
@@ -514,9 +517,9 @@ class PairingQuotient:
                     images = [self.pair_basis(wedge(
                         ExtClass.monomial(self.g, a), self.basis[i]))
                         for i in cols]
-                    rows.extend([p.get(l, ZERO) for p in images]
+                    rows.extend([p.get(l, 0) for p in images]
                                 for l in partners)
-                    rows = [v for v in rref(QMatrix(rows, len(cols)))[0].to_rows()
+                    rows = [v for v in integer_rref(rows, len(cols))[0]
                             if any(v)]
             blocks.append((cols, rows))
         return tuple(block_kernel(blocks, self.dim)[0])

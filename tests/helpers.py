@@ -4,9 +4,10 @@ invariant of the ruled surface from its wedge definition, the radical's
 elements as classes, the cap table of a basis element, the
 gamma-annihilated subspace and the vanishing-cycle ideal from products,
 splitting by degree or weight, sums folded term by term, the wedge with
-its signs from inversions, the quotient dimension from one weight block
-per Weyl orbit, a sector quotient's rref from all the multiples of its
-generators, and a deadline."""
+its signs from inversions, the pairing rows, normal forms and killed_by
+in Fraction arithmetic only, the quotient dimension from one weight
+block per Weyl orbit, a sector quotient's rref from all the multiples of
+its generators, and a deadline."""
 
 import signal
 from contextlib import contextmanager
@@ -30,7 +31,7 @@ from swfloer.extalg import (
 )
 from swfloer.floerring import build_oracle
 from swfloer.glueadj import SWTable
-from swfloer.qlinalg import QMatrix, block_kernel, kernel_basis, rank, rref
+from swfloer.qlinalg import QMatrix, block_kernel, invert, kernel_basis, rank, rref
 from swfloer.swpair import SphereParams, class_pair, mono_pair, monos_of_degree
 from swfloer.symprod import BiPoly
 
@@ -159,10 +160,11 @@ def fold_class(g, pairs):
     return out
 
 
-def reference_wedge(u, v):
-    """The wedge of two classes term by term, each sign read from the
-    inversions of the concatenated gamma tuple, not from the merge of
-    extalg._merge_sign: the reference for extalg.wedge."""
+def fraction_wedge(u, v):
+    """The nonzero terms of the wedge of two classes, as a dict with
+    Fraction values, computed term by term in Fraction arithmetic, each
+    sign read from the inversions of the concatenated gamma tuple, not
+    from the merge of extalg._merge_sign."""
     out = {}
     for m1, c1 in u.terms.items():
         for m2, c2 in v.terms.items():
@@ -171,8 +173,67 @@ def reference_wedge(u, v):
                 continue
             inversions = sum(a > b for a, b in combinations(gams, 2))
             m = ExtMono(m1.xexp + m2.xexp, tuple(sorted(gams)))
-            out[m] = out.get(m, 0) + (-1) ** inversions * c1 * c2
-    return ExtClass(u.g, out)
+            out[m] = out.get(m, Fraction(0)) + \
+                (-1) ** inversions * Fraction(c1) * Fraction(c2)
+    return {m: c for m, c in out.items() if c}
+
+
+def reference_wedge(u, v):
+    """fraction_wedge as a class: the reference for extalg.wedge."""
+    return ExtClass(u.g, fraction_wedge(u, v))
+
+
+def fraction_pair_basis(ring, z):
+    """{l: pair(z, e_l)}, zeros left out, summed by mono_pair over every
+    pair of terms in Fraction arithmetic, without rows or weights: the
+    reference for PairingQuotient.pair_basis."""
+    out = {}
+    for l, e in enumerate(ring.basis):
+        v = sum((Fraction(c) * Fraction(ce) * mono_pair(ring.params, m, t, ring.n_filter)
+                 for m, c in z.terms.items() for t, ce in e.terms.items()),
+                Fraction(0))
+        if v:
+            out[l] = v
+    return out
+
+
+@lru_cache(maxsize=None)
+def _transposed_gram_inverse(Q):
+    gram = dense_gram(Q)
+    return invert(QMatrix([[gram[j, i] for j in range(Q.dim)]
+                           for i in range(Q.dim)], Q.dim))
+
+
+def fraction_nf_vector(ring, z):
+    """The coordinates c of z with sum_i c_i pair(e_i, e_l) = pair(z, e_l)
+    for every l, solved in Fraction arithmetic by the inverse of the
+    transposed dense Gram matrix: the reference for
+    PairingQuotient.nf_vector."""
+    values = fraction_pair_basis(ring, z)
+    return _transposed_gram_inverse(ring).apply(
+        [values.get(l, Fraction(0)) for l in range(ring.dim)])
+
+
+def fraction_killed_by(ring, factors):
+    """PairingQuotient.killed_by with every pairing row a Fraction row,
+    reduced by qlinalg.rref weight by weight: the reference for its
+    fraction-free elimination."""
+    blocks = []
+    for w, cols in ring.weight_groups.items():
+        rows = []
+        for a in factors:
+            partners = ring.weight_groups.get(tuple(
+                -x - y for x, y in zip(w, mono_weight(ring.g, a))), ())
+            if partners and len(rows) < len(cols):
+                images = [ring.pair_basis(wedge(
+                    ExtClass.monomial(ring.g, a), ring.basis[i]))
+                    for i in cols]
+                rows.extend([Fraction(p.get(l, 0)) for p in images]
+                            for l in partners)
+                rows = [v for v in rref(QMatrix(rows, len(cols)))[0].to_rows()
+                        if any(v)]
+        blocks.append((cols, rows))
+    return tuple(block_kernel(blocks, ring.dim)[0])
 
 
 def fold_bipoly(pairs):

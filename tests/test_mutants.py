@@ -8,9 +8,12 @@ cleared before and after each entry: monkeypatch restores attributes but
 not cached results, and a result computed under a mutant must not reach
 a later test.
 
-A mutant under which a build raises VerificationFailure stops `swfloer
-verify` with exit status 1 before any check reports; those are listed
-apart (RAISING) and run through `verify --all` in process.
+A mutant under which a build raises (VerificationFailure,
+SingularMatrix from a Gram block, InconsistentRecursion from the
+recursion solver) fails the checks that build, each with a FAIL line
+naming the exception, while `swfloer verify` runs every later check;
+those are listed apart (RAISING) and run through `verify --all` in
+process.
 
 Entries are never removed or loosened.  The mutants that still pass
 `verify --all` are listed here, each with the ROADMAP item expected to
@@ -32,7 +35,8 @@ from fractions import Fraction
 import pytest
 
 import swfloer
-from swfloer import cli, swpair
+from swfloer import cli, extalg, floerring, swpair
+from swfloer.errors import InconsistentRecursion, SingularMatrix
 from swfloer.swpair import PairingQuotient
 from swfloer.symprod import SectorQuotient
 
@@ -132,6 +136,23 @@ def rank_one_short(integer_rref):
     return patched
 
 
+def always_singular(integer_invert):
+    def patched(m):
+        raise SingularMatrix(f"matrix of size {m.nrows} has rank 0")
+    return patched
+
+
+def never_unique(run_recursion):
+    def patched(g, r):
+        raise InconsistentRecursion(f"solution not unique at ({g},{r})")
+    return patched
+
+
+def denominator_dropped(exact):
+    # every class coefficient loses its denominator: 1/2 is stored as 1
+    return lambda v: exact(v).numerator
+
+
 def one_unit_column_short(divided):
     return lambda self, ab: divided(self, ab)[1:]
 
@@ -153,6 +174,8 @@ MUTANTS = [
     (12, PairingQuotient, "__init__", rows_keyed_by_gammas,
      ["gram-structure", "relations-annihilate", "middle-coefficient"]),
     (13, swpair, "_gamma_eval", unsigned, ["gram-structure"]),
+    (14, extalg, "exact", denominator_dropped,
+     ["relations-annihilate", "middle-coefficient"]),
 ]
 
 
@@ -179,18 +202,28 @@ def test_gluing_cap_catches_row_2_in_every_case(g, r, monkeypatch):
     assert cli.check_gluing_cap([(g, r)])
 
 
-# (target, attribute, patch) of the mutants under which a build raises
+# (target, attribute, patch, the exception raised) of the mutants under
+# which a build raises
 RAISING = [
-    (swpair, "integer_rref", rank_one_short),
-    (SectorQuotient, "_divided", one_unit_column_short),
+    (swpair, "integer_rref", rank_one_short, "VerificationFailure"),
+    (SectorQuotient, "_divided", one_unit_column_short, "VerificationFailure"),
+    (swpair, "integer_invert", always_singular, "SingularMatrix"),
+    (floerring, "_run_recursion", never_unique, "InconsistentRecursion"),
 ]
 
 
-@pytest.mark.parametrize("target, name, patch", RAISING,
+@pytest.mark.parametrize("target, name, patch, error", RAISING,
                          ids=[m[1] for m in RAISING])
-def test_verify_all_fails_under_raising_mutant(target, name, patch,
+def test_verify_all_fails_under_raising_mutant(target, name, patch, error,
                                                clean_caches, monkeypatch,
                                                capsys):
     monkeypatch.setattr(target, name, patch(getattr(target, name)))
     assert cli.main(["verify", "--all"]) == 1
-    assert capsys.readouterr().err.startswith("VerificationFailure")
+    lines = capsys.readouterr().out.splitlines()
+    # one PASS or FAIL line per check, in registry order: the raising
+    # build ends the checks that build, not the run
+    heads = [line.split(":")[0].split() for line in lines]
+    assert [check for _, check in heads] == [check for check, _, _ in cli.CHECKS]
+    assert {status for status, _ in heads} <= {"PASS", "FAIL"}
+    assert any(line.startswith("FAIL ") and f": {error}: " in line
+               for line in lines)

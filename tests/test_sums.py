@@ -1,7 +1,9 @@
 """Tests for the one-pass summing constructors of ExtClass and BiPoly and
-for the one coercion rule behind every coefficient: sums of pairs with
-repeats and cancellations agree with folding the terms one at a time,
-and a float never enters."""
+for the coercion rules behind every coefficient: sums of pairs with
+repeats and cancellations agree with folding the terms one at a time, a
+float never enters, a BiPoly coefficient is a Fraction, and an ExtClass
+coefficient is an int when integral and a Fraction otherwise, with the
+same wedges, pairings and normal forms as Fraction arithmetic gives."""
 
 import random
 from fractions import Fraction
@@ -12,12 +14,19 @@ from hypothesis import strategies as st
 
 from swfloer.checks import _random_homogeneous
 from swfloer.errors import DomainError
-from swfloer.extalg import ExtClass, ExtMono, monomials_up_to, render_class
+from swfloer.extalg import ExtClass, ExtMono, monomials_up_to, render_class, wedge
 from swfloer.floerring import build_oracle
 from swfloer.glueadj import SWTable
-from swfloer.symprod import BiPoly
+from swfloer.qlinalg import exact
+from swfloer.symprod import BiPoly, ring_oracle
 
-from helpers import fold_bipoly, fold_class
+from helpers import (
+    fold_bipoly,
+    fold_class,
+    fraction_nf_vector,
+    fraction_pair_basis,
+    fraction_wedge,
+)
 
 G = 2
 # few keys, so that random pairs repeat them often
@@ -37,6 +46,11 @@ def pair_sums(draw, keys):
     return draw(st.permutations(pairs))
 
 
+def is_exact(c):
+    """An int when integral, a Fraction with a denominator otherwise."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
 def direct_sums(pairs):
     """The nonzero coefficient sums, each key summed on its own."""
     sums = {k: sum((c for k2, c in pairs if k2 == k), Fraction(0))
@@ -51,7 +65,7 @@ def test_extclass_pair_sum_equals_the_fold(pairs):
     assert u == fold_class(G, pairs)
     assert u == ExtClass(G, iter(pairs))
     assert u.terms == direct_sums(pairs)
-    assert all(type(c) is Fraction for c in u.terms.values())
+    assert all(is_exact(c) for c in u.terms.values())
 
 
 @given(pair_sums(BI_KEYS))
@@ -88,13 +102,17 @@ def test_mapping_validation_is_unchanged():
 
 M = ExtMono(0, (1,))
 FLOAT_INPUTS = {
+    "exact": lambda: exact(0.5),
     "ExtClass mapping": lambda: ExtClass(3, {M: 0.1}),
+    "ExtClass integral float": lambda: ExtClass(3, {M: 2.0}),
     "ExtClass later pair": lambda: ExtClass(3, [(M, 1), (M, 0.5)]),
     "ExtClass scale": lambda: ExtClass.unit(3).scale(0.5),
     "ExtClass times float": lambda: ExtClass.unit(3) * 0.5,
     "BiPoly mapping": lambda: BiPoly({(1, 0): 0.1}),
     "BiPoly later pair": lambda: BiPoly([((1, 0), 1), ((1, 0), 0.5)]),
     "BiPoly scale": lambda: BiPoly.eta().scale(0.5),
+    "element_from_vector": lambda: build_oracle(3, 1).element_from_vector(
+        [0.5] + [0] * 7),
     "SWTable value": lambda: SWTable(3, 1, {ExtMono(0, ()): 0.1}),
 }
 
@@ -103,6 +121,38 @@ FLOAT_INPUTS = {
 def test_float_coefficient_is_domain_error(build):
     with pytest.raises(DomainError, match="float"):
         build()
+
+
+@st.composite
+def ring_and_classes(draw):
+    """The Floer ring or the level -1 ring at one of three cases, and two
+    classes of degree up to 2d + 2 on it with integral and non-integral
+    rational coefficients."""
+    g, r = draw(st.sampled_from([(3, 1), (4, 1), (4, 2)]))
+    ring = build_oracle(g, r) if draw(st.booleans()) else ring_oracle(g, g - 1 - r)
+    monos = st.sampled_from(monomials_up_to(g, 2 * ring.d + 2))
+    coeff = st.one_of(st.integers(-4, 4), coeffs)
+    u, v = (ExtClass(g, draw(st.lists(st.tuples(monos, coeff), max_size=6)))
+            for _ in range(2))
+    return ring, u, v
+
+
+@given(ring_and_classes())
+@settings(max_examples=60, deadline=None)
+def test_int_coefficients_give_the_fraction_results(ruv):
+    ring, u, v = ruv
+    w = wedge(u, v)
+    assert w.terms == fraction_wedge(u, v)
+    for z in (u, w):
+        values = ring.pair_basis(z)
+        assert values == fraction_pair_basis(ring, z)
+        assert all(is_exact(c) for c in values.values())
+        vec = ring.nf_vector(z)
+        assert vec == fraction_nf_vector(ring, z)
+        element = ring.element_from_vector(vec)
+        assert ring.nf_vector(element) == vec
+        assert all(is_exact(c) for c in element.terms.values())
+    assert all(is_exact(c) for z in (u, v, w) for c in z.terms.values())
 
 
 def test_random_homogeneous_draws_in_a_fixed_order():

@@ -36,7 +36,7 @@ from swfloer.swpair import (
 )
 from swfloer.symprod import ring_oracle
 
-from helpers import dense_gram, radical_elements, sw_sphere
+from helpers import dense_gram, fraction_killed_by, radical_elements, sw_sphere
 
 F = Fraction
 
@@ -581,6 +581,20 @@ def test_gram_apply_equals_the_dense_product_on_sparse_vectors():
 def test_quotient_gram_invertible():
     Q = quotient(4, 2)
     invert(Q.gram)
+
+
+@pytest.mark.parametrize("g", range(2, 7))
+def test_killed_by_equals_the_fraction_rref(g):
+    """The fraction-free elimination of killed_by gives the kernels of the
+    Fraction rref loop at every twist up to genus 6, for the factors of
+    glueadj (every gamma, and gamma_1..gamma_d) and for x."""
+    for r in range(1, g):
+        ring = floerring.build_oracle(g, r)
+        for factors in ([ExtMono(0, (j,)) for j in range(1, 2 * g + 1)],
+                        [ExtMono(0, (j,)) for j in range(1, ring.d + 1)],
+                        [ExtMono(1, ())]):
+            assert ring.killed_by(factors) == \
+                fraction_killed_by(ring, factors), (g, r, factors)
 
 
 # -- property tests --------------------------------------------------------

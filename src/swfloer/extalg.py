@@ -139,6 +139,14 @@ class ExtClass:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, g: int, terms: Dict[ExtMono, object]) -> "ExtClass":
+        """A class on terms already summed, nonzero, stored by exact and on
+        checked monomials of genus g, taken without a copy or a check."""
+        out = cls.__new__(cls)
+        out.g, out.terms = g, terms
+        return out
+
+    @classmethod
     def zero(cls, g: int) -> "ExtClass":
         return cls(g)
 
@@ -223,7 +231,9 @@ class ExtClass:
 def wedge(u: ExtClass, v: ExtClass) -> ExtClass:
     """Wedge product, bilinear over Q; raises GenusMismatch across genera.
     Each pair of terms costs one product of coefficients, negated on an
-    odd shuffle."""
+    odd shuffle.  A merged monomial of two checked monomials of one genus
+    is valid, so the product skips the constructor's sum and checks: it
+    drops the zero sums and stores the rest by exact."""
     u._require_same_genus(v)
     out = {}
     for m1, c1 in u.terms.items():
@@ -233,7 +243,8 @@ def wedge(u: ExtClass, v: ExtClass) -> ExtClass:
                 m = ExtMono(m1.xexp + m2.xexp, gam)
                 c = c1 * c2 if sign > 0 else -(c1 * c2)
                 out[m] = out[m] + c if m in out else c
-    return ExtClass(u.g, out)
+    return ExtClass._trusted(u.g, {m: c if type(c) is int else exact(c)
+                                   for m, c in out.items() if c})
 
 
 def theta_class(g: int) -> ExtClass:

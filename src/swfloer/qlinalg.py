@@ -14,7 +14,8 @@ pinned down once and for all:
   * ``reduce_by_rref`` reduces a vector modulo the row space of an rref
     by clearing its pivot coordinates.
   * ``integer_rref`` eliminates fraction-free; swpair ranks and inverts
-    (``integer_invert``) its integer pairing blocks with it.
+    (``integer_invert``) its integer pairing blocks with it, and
+    ``block_kernel`` reads its kernels from it.
 
 No floats are ever produced.  ``frac`` coerces every matrix entry and
 every BiPoly coefficient to Fraction, and ``exact`` every ExtClass
@@ -31,9 +32,10 @@ integer multiples of the rref's rows.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, SingularMatrix
 
@@ -214,6 +216,9 @@ def block_kernel(blocks: Iterable[Tuple[Sequence[int], Sequence[Sequence]]],
     The kernel basis has one vector per free column, free columns in
     increasing order; the chosen free variable is set to 1 and every
     other free variable to 0, pivot variables solved from the rref rows.
+    A block is eliminated by integer_rref, whose rows are multiples of
+    the rref rows, so entry f of row i gives Fraction(-row[f], row[p])
+    at its pivot p.
 
     >>> basis, pivots = block_kernel([([0, 2], [[1, 2]]), ([1], [])], 3)
     >>> pivots, [[int(x) for x in v] for v in basis]
@@ -222,16 +227,16 @@ def block_kernel(blocks: Iterable[Tuple[Sequence[int], Sequence[Sequence]]],
     vectors = {}
     pivots: List[int] = []
     for cols, rows in blocks:
-        reduced, local = _rref_rows([[frac(v) for v in r] for r in rows],
-                                    len(cols))
+        reduced, local = integer_rref(rows, len(cols))
         pivot_set = set(local)
         for f, col in enumerate(cols):
             if f in pivot_set:
                 continue
             v = [ZERO] * ncols
             v[col] = ONE
-            for i, p in enumerate(local):
-                v[cols[p]] = -reduced[i][f]
+            for row, p in zip(reduced, local):
+                if row[f]:
+                    v[cols[p]] = Fraction(-row[f], row[p])
             vectors[col] = tuple(v)
         pivots.extend(cols[p] for p in local)
     return [vectors[c] for c in sorted(vectors)], tuple(sorted(pivots))

@@ -37,7 +37,8 @@ weights are opposite, so the radical splits by weight, and the build
 certifies its canonical basis one weight at a time: the rank of the
 pairing between the monomials of weight lambda and those of weight
 -lambda must equal the number of basis elements of weight lambda
-(``weight_ranks``).  Its Gram blocks come from the primitive
+(``weight_ranks``); the certificate is per weight, the rank per Weyl
+orbit of weights.  Its Gram blocks come from the primitive
 factorisation of the basis (``PairingQuotient.label_pair``).
 ``PairingQuotient.pair_vectors`` applies them or their inverses to
 coordinate vectors, and ``nf_vector`` applies the inverses to the
@@ -47,8 +48,8 @@ Gram block entries are computed in int, and the weight and Gram blocks
 are ranked and inverted fraction-free (qlinalg.integer_rref), as are
 the pairing rows of ``killed_by``.  A class coefficient is an int when
 it is integral and a Fraction otherwise (qlinalg.exact), so an integral
-class is paired in int; the inverse blocks, normal forms and
-``class_pair`` are Fractions.  A
+class is paired in int; the inverse blocks, normal forms and the
+result of ``class_pair`` (summed in int) are Fractions.  A
 class meets the basis in one place, ``PairingQuotient.pair_basis``,
 behind normal forms, radical membership and ``killed_by``.  It sums
 rows: a monomial's row holds its nonzero pairings with the basis
@@ -58,8 +59,9 @@ monomial's first use and kept for the ring's life, so a patch to
 mono_pair made after a ring is built does not reach the rows it already
 holds.  The radical itself, homogeneous pieces degree by degree and
 then the mixed-degree corrections, is ``_radical``, computed only when
-asked for by the quotient's ``radical_*`` methods.  Both it and ``weight_ranks`` read the
-weight blocks of the monomial pairing from ``_pair_blocks``.
+asked for by the quotient's ``radical_*`` methods.  Both it and
+``weight_ranks`` build the weight blocks of the monomial pairing with
+``_pair_block``.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ from .extalg import (
     theta_power,
     wedge,
 )
-from .qlinalg import QMatrix, block_kernel, exact, integer_invert, integer_rref
+from .qlinalg import QMatrix, block_kernel, exact, frac, integer_invert, integer_rref
 
 ZERO = Fraction(0)
 
@@ -159,13 +161,13 @@ def class_pair(params: SphereParams, z1: ExtClass, z2: ExtClass,
     """
     if z1.g != params.g or z2.g != params.g:
         raise DomainError("genus mismatch against params")
-    total = ZERO
+    total = 0
     for m1, c1 in z1.terms.items():
         for m2, c2 in z2.terms.items():
             v = mono_pair(params, m1, m2, n_filter)
             if v:
                 total += c1 * c2 * v
-    return total
+    return frac(total)
 
 
 @lru_cache(maxsize=None)
@@ -179,15 +181,24 @@ def _pair_blocks(params: SphereParams, n_filter: Optional[int],
     """The mono_pair matrix between cols and rows, weight block by weight
     block: for each weight lambda of a column, in order of first
     appearance, (lambda, the indices of the columns of weight lambda, the
-    nonzero rows m of weight -lambda as [mono_pair(c, m) for c in those
-    columns]), rows in their given order.  mono_pair vanishes unless the
-    two torus weights are opposite, so these blocks hold every nonzero
-    entry; a row with no contributing level is zero and is dropped."""
+    _pair_block of those columns against the rows of weight -lambda).
+    mono_pair vanishes unless the two torus weights are opposite, so
+    these blocks hold every nonzero entry."""
     rows_of = by_weight(params.g, rows)
     for w, idx in by_weight(params.g, cols).items():
-        block = ([mono_pair(params, cols[j], rows[i], n_filter) for j in idx]
-                 for i in rows_of.get(tuple(-x for x in w), ()))
-        yield w, idx, [row for row in block if any(row)]
+        opposite = rows_of.get(tuple(-x for x in w), ())
+        yield w, idx, _pair_block(params, n_filter, [cols[j] for j in idx],
+                                  [rows[i] for i in opposite])
+
+
+def _pair_block(params: SphereParams, n_filter: Optional[int],
+                cols: Sequence[ExtMono], rows: Sequence[ExtMono]
+                ) -> List[List[int]]:
+    """The nonzero rows [mono_pair(c, m) for c in cols] over m in rows, in
+    their given order; a row with no contributing level is zero and is
+    dropped."""
+    block = ([mono_pair(params, c, m, n_filter) for c in cols] for m in rows)
+    return [row for row in block if any(row)]
 
 
 @lru_cache(maxsize=None)
@@ -228,12 +239,35 @@ def _radical(params: SphereParams, n_filter: Optional[int]):
     return tuple(pieces), tuple(mixed)
 
 
+def _orbit(w: Tuple[int, ...]) -> int:
+    """The Weyl orbit of a torus weight, read as its number of nonzero
+    entries: every entry is -1, 0 or 1, and the signed permutations of
+    the symplectic pairs move the nonzero entries anywhere, with any
+    signs."""
+    return len(w) - w.count(0)
+
+
 def weight_ranks(params: SphereParams, n_filter: Optional[int] = None
                  ) -> Dict[Tuple[int, ...], int]:
     """For each torus weight lambda of a monomial of degree <= 2d, the
     rank of the pairing between the monomials of weight lambda and those
     of weight -lambda.  The radical splits by weight, so this is the
     dimension of the weight-lambda part of the quotient by the radical.
+
+    The rank is taken once per Weyl orbit of weights (_orbit), on the
+    block of the orbit's first weight, and given to every weight of the
+    orbit.  A signed permutation sigma of the pairs (gamma_i,
+    gamma_(g+i)), gamma_i -> gamma_(g+i) -> -gamma_i on a flipped pair,
+    is an algebra automorphism fixing x and theta, hence the volume
+    theta^g / g!, so it keeps every degree and every invariant sw(n, .).
+    It sends a monomial of weight lambda to plus or minus one of weight
+    sigma lambda, bijectively.  So mono_pair(sigma a, sigma b) is
+    +-mono_pair(a, b) at each level, and the lambda block goes to the
+    sigma lambda block by signed row and column permutations, which keep
+    the rank.  This rests on the closed form _gamma_eval, which the
+    gram-structure check certifies against the wedge.  The certificate
+    stays per weight: PairingQuotient compares each weight's basis count
+    with its orbit's rank.
 
     The blocks are integer (mono_pair is) and are eliminated fraction-free,
     columns and rows taken by degree, highest first; with columns in
@@ -242,8 +276,15 @@ def weight_ranks(params: SphereParams, n_filter: Optional[int] = None
     """
     monos = sorted(monomials_up_to(params.g, 2 * params.d),
                    key=lambda m: -m.degree)
-    return {w: len(integer_rref(block, len(idx))[1])
-            for w, idx, block in _pair_blocks(params, n_filter, monos, monos)}
+    groups = by_weight(params.g, monos)
+    ranks: Dict[int, int] = {}
+    for w, idx in groups.items():
+        if _orbit(w) not in ranks:
+            opposite = groups.get(tuple(-x for x in w), ())
+            block = _pair_block(params, n_filter, [monos[j] for j in idx],
+                                [monos[i] for i in opposite])
+            ranks[_orbit(w)] = len(integer_rref(block, len(idx))[1])
+    return {w: ranks[_orbit(w)] for w in groups}
 
 
 @lru_cache(maxsize=None)
@@ -304,10 +345,10 @@ class PairingQuotient:
     certifies it weight by weight without computing the radical.  For
     every torus weight lambda (see extalg.mono_weight), the number of
     basis elements of weight lambda must equal the rank of the pairing
-    between the monomials of weights lambda and -lambda (weight_ranks),
-    the dimension of the weight-lambda part of the quotient; and the
-    Gram block between the basis elements of weights lambda and -lambda
-    must be invertible, which gives independence mod the radical.
+    between the monomials of weights lambda and -lambda (weight_ranks,
+    taken once per Weyl orbit), the dimension of the weight-lambda part
+    of the quotient; and the Gram block between the basis elements of
+    weights lambda and -lambda must be invertible, which gives independence mod the radical.
     Violation raises.  The radical is computed on first use by the
     radical_* methods.
     """

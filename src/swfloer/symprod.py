@@ -26,10 +26,11 @@ split into terms by extalg.signed_terms, as class expressions are.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain
 from math import comb
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import DomainError, VerificationFailure
 from .extalg import _RAT_RE, parse_frac, parse_int, primitive_dim, render_sum, signed_terms

@@ -5,9 +5,10 @@ elements as classes, the cap table of a basis element, the
 gamma-annihilated subspace and the vanishing-cycle ideal from products,
 splitting by degree or weight, sums folded term by term, the wedge with
 its signs from inversions, the pairing rows, normal forms and killed_by
-in Fraction arithmetic only, the quotient dimension from one weight
-block per Weyl orbit, a sector quotient's rref from all the multiples of
-its generators, and a deadline."""
+in Fraction arithmetic only, the kernel from the Fraction rref, the
+pairing ranks weight by weight and the quotient dimension from one
+weight block per Weyl orbit, a sector quotient's rref from all the
+multiples of its generators, and a deadline."""
 
 import signal
 from contextlib import contextmanager
@@ -32,7 +33,13 @@ from swfloer.extalg import (
 from swfloer.floerring import build_oracle
 from swfloer.glueadj import SWTable
 from swfloer.qlinalg import QMatrix, block_kernel, invert, kernel_basis, rank, rref
-from swfloer.swpair import SphereParams, class_pair, mono_pair, monos_of_degree
+from swfloer.swpair import (
+    SphereParams,
+    _pair_blocks,
+    class_pair,
+    mono_pair,
+    monos_of_degree,
+)
 from swfloer.symprod import BiPoly
 
 
@@ -236,6 +243,23 @@ def fraction_killed_by(ring, factors):
     return tuple(block_kernel(blocks, ring.dim)[0])
 
 
+def rref_kernel(m):
+    """The canonical kernel basis of a QMatrix read from its Fraction rref
+    (qlinalg.rref), one vector per free column: the reference for
+    qlinalg.block_kernel, which eliminates fraction-free."""
+    reduced, pivots, _ = rref(m)
+    out = []
+    for f in range(m.ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * m.ncols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -reduced[i, f]
+        out.append(tuple(v))
+    return out
+
+
 def fold_bipoly(pairs):
     """The repeated-+ fold of single-term polynomials: the reference for
     the one-pass sum BiPoly(pairs)."""
@@ -245,6 +269,17 @@ def fold_bipoly(pairs):
     return out
 
 
+def per_weight_ranks(params, n_filter=None):
+    """The rank of every (lambda, -lambda) block of the monomial pairing,
+    one weight at a time and in Fraction arithmetic (qlinalg.rank), keyed
+    and ordered as swpair.weight_ranks: the reference for it, which ranks
+    one block per Weyl orbit, fraction-free."""
+    monos = sorted(monomials_up_to(params.g, 2 * params.d),
+                   key=lambda m: -m.degree)
+    return {w: rank(block, len(idx)) for w, idx, block in
+            _pair_blocks(params, n_filter, monos, monos)}
+
+
 def weyl_orbit_dimension(g, r):
     """The dimension of V_r from one weight block per Weyl orbit.
 
@@ -252,9 +287,12 @@ def weyl_orbit_dimension(g, r):
     signed permutations of the symplectic pairs preserve mono_pair up to
     sign, so the rank of the pairing between weights lambda and -lambda
     depends only on the number j of nonzero entries of lambda.  Sum the
-    rank at (1^j, 0^(g-j)) times the orbit size 2^j C(g, j).  Each block
-    is built here straight from mono_pair, without the basis or the
-    per-weight blocks of swpair."""
+    rank at (1^j, 0^(g-j)) times the orbit size 2^j C(g, j).
+    swpair.weight_ranks rests on the same symmetry; this route differs in
+    building each block straight from mono_pair at a fixed
+    representative, without the basis, and in counting the orbit sizes
+    instead of the basis elements of each weight.  The symmetry itself is
+    tested on mono_pair, and weight_ranks against per_weight_ranks."""
     params = SphereParams(g, r)
     # highest degree first, as in swpair.weight_ranks: far less fill-in
     monos = sorted(monomials_up_to(g, 2 * params.d), key=lambda m: -m.degree)

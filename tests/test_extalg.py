@@ -307,4 +307,8 @@ def class_pairs(draw):
 @settings(max_examples=100, deadline=None)
 def test_wedge_matches_the_inversion_count_reference(uv):
     u, v = uv
-    assert wedge(u, v) == reference_wedge(u, v)
+    w = wedge(u, v)
+    assert w == reference_wedge(u, v)
+    # stored as the constructor would: no zero, an integral value as int
+    assert all(c and (type(c) is int or c.denominator > 1)
+               for c in w.terms.values())

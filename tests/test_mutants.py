@@ -153,6 +153,11 @@ def denominator_dropped(exact):
     return lambda v: exact(v).numerator
 
 
+def orbit_keyed_on_sum(orbit):
+    # (1, -1, 0) joins the orbit of (0, 0, 0): the sum is no Weyl invariant
+    return lambda w: sum(w)
+
+
 def one_unit_column_short(divided):
     return lambda self, ab: divided(self, ab)[1:]
 
@@ -206,6 +211,7 @@ def test_gluing_cap_catches_row_2_in_every_case(g, r, monkeypatch):
 # which a build raises
 RAISING = [
     (swpair, "integer_rref", rank_one_short, "VerificationFailure"),
+    (swpair, "_orbit", orbit_keyed_on_sum, "VerificationFailure"),
     (SectorQuotient, "_divided", one_unit_column_short, "VerificationFailure"),
     (swpair, "integer_invert", always_singular, "SingularMatrix"),
     (floerring, "_run_recursion", never_unique, "InconsistentRecursion"),

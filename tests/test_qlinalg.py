@@ -17,7 +17,7 @@ from swfloer.qlinalg import (
     rref,
 )
 
-from helpers import identity, matmul
+from helpers import identity, matmul, rref_kernel
 
 F = Fraction
 
@@ -165,6 +165,13 @@ class TestProperties:
         blocks, ncols, dense = bm
         m = QMatrix(dense, ncols)
         assert block_kernel(blocks, ncols) == (kernel_basis(m), rref(m)[1])
+
+    @given(st.one_of(matrices(), matrices(entries=rational_entries)))
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_basis_is_the_fraction_rref_kernel(self, m):
+        basis = kernel_basis(m)
+        assert basis == rref_kernel(m)
+        assert all(type(x) is Fraction for v in basis for x in v)
 
     @given(matrices())
     @settings(max_examples=60, deadline=None)

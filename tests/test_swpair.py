@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import factorial
 
 import pytest
@@ -14,6 +15,7 @@ from swfloer.errors import DomainError, VerificationFailure
 from swfloer.extalg import (
     ExtClass,
     ExtMono,
+    by_weight,
     gamma_monomials,
     mono_weight,
     monomials_up_to,
@@ -23,7 +25,7 @@ from swfloer.extalg import (
     top_eval,
     wedge,
 )
-from swfloer.qlinalg import QMatrix, invert, kernel_basis, rank
+from swfloer.qlinalg import QMatrix, invert, kernel_basis
 from swfloer import floerring, swpair
 from swfloer.swpair import (
     PairingQuotient,
@@ -36,7 +38,13 @@ from swfloer.swpair import (
 )
 from swfloer.symprod import ring_oracle
 
-from helpers import dense_gram, fraction_killed_by, radical_elements, sw_sphere
+from helpers import (
+    dense_gram,
+    fraction_killed_by,
+    per_weight_ranks,
+    radical_elements,
+    sw_sphere,
+)
 
 F = Fraction
 
@@ -396,15 +404,60 @@ def test_weight_ranks_sum_to_the_radical_codimension(g, r, n_filter):
 
 @pytest.mark.parametrize("n_filter", [None, -1])
 def test_weight_ranks_are_the_fraction_ranks(n_filter):
-    # the fraction-free rank of every weight block up to genus 6 against
-    # the Fraction elimination of qlinalg.rank
+    # the fraction-free rank of one block per Weyl orbit, handed to every
+    # weight of the orbit, against the Fraction rank of every weight's own
+    # block, in the same key order, up to genus 6
     for g in range(2, 7):
         for r in range(1, g):
             p = SphereParams(g, r)
-            monos = sorted(monomials_up_to(g, 2 * p.d), key=lambda m: -m.degree)
-            want = {w: rank(block, len(idx)) for w, idx, block in
-                    swpair._pair_blocks(p, n_filter, monos, monos)}
-            assert weight_ranks(p, n_filter) == want, (g, r)
+            got, want = weight_ranks(p, n_filter), per_weight_ranks(p, n_filter)
+            assert list(got.items()) == list(want.items()), (g, r)
+
+
+def signed_permutation(g, rng):
+    """A random signed permutation sigma of the pairs (gamma_i, gamma_(g+i))
+    as {generator index: (sign, image index)}: the pair i goes to pair
+    pi(i), and on a flipped pair gamma_i -> gamma_(g+pi(i)) and
+    gamma_(g+i) -> -gamma_(pi(i)), which keeps gamma_i gamma_(g+i)."""
+    image = {}
+    for i, p in enumerate(rng.sample(range(1, g + 1), g), 1):
+        flip = rng.random() < 0.5
+        image[i] = (1, g + p) if flip else (1, p)
+        image[g + i] = (-1, p) if flip else (1, g + p)
+    return image
+
+
+def act(image, m):
+    """sigma m as (sign, monomial): the images of m's gammas in order,
+    sorted with the sign of their inversions; x is fixed."""
+    signs, idx = zip(*(image[i] for i in m.gammas)) if m.gammas else ((), ())
+    inversions = sum(a > b for a, b in combinations(idx, 2))
+    return (-1) ** (inversions + signs.count(-1)), ExtMono(m.xexp, tuple(sorted(idx)))
+
+
+@pytest.mark.parametrize("n_filter", [None, -1])
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_signed_permutations_preserve_mono_pair(g, n_filter):
+    # the symmetry weight_ranks rests on: mono_pair(sigma a, sigma b) =
+    # (sign of sigma a)(sign of sigma b) mono_pair(a, b), checked on
+    # pairs of opposite weights (mostly nonzero) and on random pairs
+    rng = random.Random(49 + g)
+    for r in range(1, g):
+        params = SphereParams(g, r)
+        monos = monomials_up_to(g, 2 * params.d)
+        groups = by_weight(g, monos)
+        nonzero = 0
+        for _ in range(4):
+            image = signed_permutation(g, rng)
+            for a in rng.sample(monos, min(30, len(monos))):
+                opposite = groups.get(tuple(-x for x in mono_weight(g, a)), [])
+                for b in [monos[i] for i in opposite] + rng.choices(monos, k=5):
+                    (sa, sig_a), (sb, sig_b) = act(image, a), act(image, b)
+                    v = mono_pair(params, a, b, n_filter)
+                    assert mono_pair(params, sig_a, sig_b, n_filter) == sa * sb * v, \
+                        (g, r, a, b, image)
+                    nonzero += v != 0
+        assert nonzero, (g, r)
 
 
 def test_dropping_a_basis_element_fails_the_rank_certificate(monkeypatch):

@@ -351,17 +351,12 @@ def check_high_degree_vanishing(cases) -> List[str]:
 
 
 def check_betti_triple(cases) -> List[str]:
-    """Series coefficients, presentation dimensions and oracle dimensions
-    agree; low Betti numbers match the alternating binomial count."""
+    """Low Betti numbers match the binomial count.  (dimension-match and
+    presentation-basis compare both routes' dimensions with betti_total
+    on the same ten cases.)"""
     fails = []
     for g in range(2, 6):
         for d in range(g - 1):
-            r = g - 1 - d
-            total = betti_total(g, d)
-            if presentation_dimension(g, r) != total:
-                fails.append(f"g={g} d={d}: presentation sum != {total}")
-            if build_oracle(g, r).dim != total:
-                fails.append(f"g={g} d={d}: oracle dim != {total}")
             b = betti(g, d)
             for i in range(d + 1):
                 want = sum(comb(2 * g, i - 2 * v) for v in range(i // 2 + 1))

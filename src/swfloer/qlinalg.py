@@ -1,11 +1,19 @@
 """Exact linear algebra over Q.
 
 Everything downstream (annihilators, Gram matrices, normal forms) reduces to
-row reduction of matrices with rational entries, so the conventions here are
-pinned down once and for all:
+row reduction of matrices with rational entries, and one routine does all
+of it: ``integer_rref``, fraction-free Gauss-Jordan elimination.  It
+decides the pivot order (the first nonzero row at or below the next pivot
+row, columns in increasing order), scales each row to integers by its
+common denominator and divides every row by its content.  Everything else
+reads its rows, which are integer multiples of the rref's rows:
 
-  * ``rref`` returns the reduced row echelon form, which is unique, together
-    with the strictly increasing tuple of pivot columns and the rank.
+  * ``rref`` divides each nonzero row by its pivot entry and returns the
+    reduced row echelon form, which is unique, together with the strictly
+    increasing tuple of pivot columns and the rank; ``rank`` counts the
+    pivots.
+  * ``invert`` eliminates [m | 1] and divides each row of the right half
+    by the row's pivot entry.
   * ``kernel_basis`` (a one-block ``block_kernel``) derives its basis
     from the rref by setting one free variable to 1 (free columns taken
     in increasing order) and the others to 0.  Two mathematically equal
@@ -13,15 +21,12 @@ pinned down once and for all:
     matrix eliminated block by block gives the same basis as assembled.
   * ``reduce_by_rref`` reduces a vector modulo the row space of an rref
     by clearing its pivot coordinates.
-  * ``integer_rref`` eliminates fraction-free; swpair ranks and inverts
-    (``integer_invert``) its integer pairing blocks with it, and
-    ``block_kernel`` reads its kernels from it.
 
 No floats are ever produced.  ``frac`` coerces every matrix entry and
 every BiPoly coefficient to Fraction, and ``exact`` every ExtClass
 coefficient to an int when it is integral and to a Fraction otherwise;
-both reject a float with a DomainError.  ``integer_rref`` returns ints:
-integer multiples of the rref's rows.
+both reject a float with a DomainError, and ``integer_rref`` passes every
+entry that is not an int through ``frac``.
 
 >>> m = QMatrix([[1, 1], [0, 1]])
 >>> invert(m).to_rows()
@@ -143,47 +148,22 @@ def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return s
 
 
-def _rref_rows(rows: List[List[Fraction]], ncols: int) -> Tuple[List[List[Fraction]], List[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
-    pivots: List[int] = []
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ONE / rows[r][c]
-        if inv != 1:
-            rows[r] = [v * inv for v in rows[r]]
-        prow = rows[r]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], prow)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
-
 def rref(m: QMatrix) -> Tuple[QMatrix, Tuple[int, ...], int]:
     """Reduced row echelon form of m.
 
-    Returns (R, pivot_cols, rank).  R is the unique RREF, pivot_cols is
-    strictly increasing, rank == len(pivot_cols).
+    Returns (R, pivot_cols, rank).  R is the unique RREF, nrows x ncols
+    with the zero rows last, pivot_cols is strictly increasing, rank ==
+    len(pivot_cols).
 
     >>> r, p, k = rref(QMatrix([[1, 2], [2, 4]]))
     >>> (p, k)
     ((0,), 1)
     """
-    rows, pivots = _rref_rows(m.to_rows(), m.ncols)
-    return QMatrix(rows, m.ncols), tuple(pivots), len(pivots)
+    rows, pivots = integer_rref(m.to_rows(), m.ncols)
+    reduced = [[Fraction(v, row[p]) if v else ZERO for v in row]
+               for row, p in zip(rows, pivots)]
+    reduced += [[ZERO] * m.ncols for _ in range(m.nrows - len(pivots))]
+    return QMatrix(reduced, m.ncols), tuple(pivots), len(pivots)
 
 
 def rank(rows: Sequence[Sequence], ncols: int) -> int:
@@ -192,7 +172,7 @@ def rank(rows: Sequence[Sequence], ncols: int) -> int:
     >>> rank([[0, 1, 2], [0, 2, 4]], 3)
     1
     """
-    return len(_rref_rows([[frac(v) for v in r] for r in rows], ncols)[1])
+    return len(integer_rref(rows, ncols)[1])
 
 
 def kernel_basis(m: QMatrix) -> List[Tuple[Fraction, ...]]:
@@ -267,28 +247,17 @@ def reduce_by_rref(vec: Sequence, reduced: QMatrix,
 
 
 def invert(m: QMatrix) -> QMatrix:
-    """Inverse of a square matrix; raises SingularMatrix when rank < n."""
-    rows, n = _augmented(m, _rref_rows)
-    return QMatrix([r[n:] for r in rows], n)
-
-
-def integer_invert(m: QMatrix) -> QMatrix:
-    """invert, by integer_rref: the same entries."""
-    rows, n = _augmented(m, integer_rref)
-    return QMatrix([[Fraction(v, r[i]) for v in r[n:]] for i, r in enumerate(rows)], n)
-
-
-def _augmented(m: QMatrix, eliminate) -> Tuple[List[list], int]:
-    """[m | 1] eliminated, and n; SingularMatrix when rank < n."""
+    """Inverse of a square matrix, read from the rows of [m | 1] eliminated
+    by integer_rref; raises SingularMatrix when rank < n."""
     n = m.nrows
     if n != m.ncols:
         raise DomainError("only square matrices can be inverted")
-    rows, pivots = eliminate([list(m.row(i)) + [ONE if j == i else ZERO for j in range(n)]
-                              for i in range(n)], 2 * n)
+    rows, pivots = integer_rref([list(m.row(i)) + [int(j == i) for j in range(n)]
+                                 for i in range(n)], 2 * n)
     rank = len([p for p in pivots if p < n])
     if rank < n:
         raise SingularMatrix(f"matrix of size {n} has rank {rank}")
-    return rows, n
+    return QMatrix([[Fraction(v, r[i]) for v in r[n:]] for i, r in enumerate(rows)], n)
 
 
 def integer_rref(rows: Iterable[Sequence], ncols: int) -> Tuple[List[List[int]], List[int]]:

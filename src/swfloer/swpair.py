@@ -44,24 +44,24 @@ factorisation of the basis (``PairingQuotient.label_pair``).
 coordinate vectors, and ``nf_vector`` applies the inverses to the
 pairings of a class with the basis.  Below the inverse blocks every
 value is an integer: mono_pair, the basis coefficients, the rows and the
-Gram block entries are computed in int, and the weight and Gram blocks
-are ranked and inverted fraction-free (qlinalg.integer_rref), as are
-the pairing rows of ``killed_by``.  A class coefficient is an int when
-it is integral and a Fraction otherwise (qlinalg.exact), so an integral
-class is paired in int; the inverse blocks, normal forms and the
-result of ``class_pair`` (summed in int) are Fractions.  A
-class meets the basis in one place, ``PairingQuotient.pair_basis``,
-behind normal forms, radical membership and ``killed_by``.  It sums
-rows: a monomial's row holds its nonzero pairings with the basis
-elements of opposite weight and a contributing degree, each computed by
-mono_pair over the terms of the basis element.  A row is filled on the
-monomial's first use and kept for the ring's life, so a patch to
-mono_pair made after a ring is built does not reach the rows it already
-holds.  The radical itself, homogeneous pieces degree by degree and
-then the mixed-degree corrections, is ``_radical``, computed only when
-asked for by the quotient's ``radical_*`` methods.  Both it and
-``weight_ranks`` build the weight blocks of the monomial pairing with
-``_pair_block``.
+Gram block entries are computed in int; qlinalg.integer_rref ranks the
+weight blocks and reduces the pairing rows of ``killed_by``, and
+qlinalg.invert inverts the Gram blocks by the same elimination.  A class
+coefficient is an int when it is integral and a Fraction otherwise
+(qlinalg.exact), so an integral class is paired in int; the inverse
+blocks, normal forms and the result of ``class_pair`` (summed in int)
+are Fractions.  A class meets the basis in one place,
+``PairingQuotient.pair_basis``, behind normal forms, radical membership
+and ``killed_by``.  It sums rows: a monomial's row holds its nonzero
+pairings with the basis elements of opposite weight and a contributing
+degree, each computed by mono_pair over the terms of the basis element.
+A row is filled on the monomial's first use and kept for the ring's
+life, so a patch to mono_pair made after a ring is built does not reach
+the rows it already holds.  The radical itself, homogeneous pieces degree
+by degree and then the mixed-degree corrections, is ``_radical``,
+computed only when asked for by the quotient's ``radical_*`` methods.
+Both it and ``weight_ranks`` build the weight blocks of the monomial
+pairing with ``_pair_block``.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ from .extalg import (
     theta_power,
     wedge,
 )
-from .qlinalg import QMatrix, block_kernel, exact, frac, integer_invert, integer_rref
+from .qlinalg import QMatrix, block_kernel, exact, frac, integer_rref, invert
 
 ZERO = Fraction(0)
 
@@ -400,7 +400,7 @@ class PairingQuotient:
                     f"{len(rows)} of the opposite weight")
             block = QMatrix([[self.label_pair(self.labels[i], self.labels[l])
                               for i in cols] for l in rows], ncols=len(cols))
-            self._weight_blocks[w] = (cols, rows, block, integer_invert(block))
+            self._weight_blocks[w] = (cols, rows, block, invert(block))
 
     # -- pairing and Gram --------------------------------------------------
 

@@ -1,7 +1,8 @@
-"""Helpers that only the tests need: dense matrix arithmetic, the
-primitive basis and the Gram table computed without weights, the
-invariant of the ruled surface from its wedge definition, the radical's
-elements as classes, the cap table of a basis element, the
+"""Helpers that only the tests need: dense matrix arithmetic, Gauss-Jordan
+elimination in Fraction arithmetic (the reference for every elimination
+of the package), the primitive basis and the Gram table computed without
+weights, the invariant of the ruled surface from its wedge definition,
+the radical's elements as classes, the cap table of a basis element, the
 gamma-annihilated subspace and the vanishing-cycle ideal from products,
 splitting by degree or weight, sums folded term by term, the wedge with
 its signs from inversions, the pairing rows, normal forms and killed_by
@@ -32,7 +33,7 @@ from swfloer.extalg import (
 )
 from swfloer.floerring import build_oracle
 from swfloer.glueadj import SWTable
-from swfloer.qlinalg import QMatrix, block_kernel, invert, kernel_basis, rank, rref
+from swfloer.qlinalg import QMatrix, block_kernel
 from swfloer.swpair import (
     SphereParams,
     _pair_blocks,
@@ -54,6 +55,29 @@ def matmul(a, b):
                    b.ncols)
 
 
+def fraction_rref(rows, ncols):
+    """Gauss-Jordan elimination in Fraction arithmetic: (the rref's rows,
+    zero rows last, its pivot columns), pivoting on the first nonzero row
+    at or below the next pivot row, columns in increasing order.  The
+    reference for qlinalg.integer_rref and everything that reads it: rref,
+    rank, invert and block_kernel."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        top = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if top is None:
+            continue
+        rows[r], rows[top] = rows[top], rows[r]
+        prow = rows[r] = [v / rows[r][c] for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                f = row[c]
+                rows[i] = [a - f * b if b else a for a, b in zip(row, prow)]
+        pivots.append(c)
+    return rows, pivots
+
+
 def dense_primitive_basis(g, k):
     """The kernel of theta^(g-k+1) on the gamma monomials of degree k,
     from the whole multiplication matrix (both sides in lexicographic
@@ -68,7 +92,7 @@ def dense_primitive_basis(g, k):
         for m, c in wedge(ExtClass.monomial(g, ExtMono(0, gam)), power).terms.items():
             mat[row_index[m.gammas]][j] = c
     return tuple(ExtClass(g, {ExtMono(0, cols[j]): c for j, c in enumerate(vec) if c})
-                 for vec in kernel_basis(QMatrix(mat, ncols=len(cols))))
+                 for vec in rref_kernel(QMatrix(mat, ncols=len(cols))))
 
 
 @lru_cache(maxsize=None)
@@ -138,11 +162,8 @@ def product_row_ideal(ring):
     pairing-orthogonal of the annihilator."""
     gammas = [ExtClass.gamma(ring.g, j) for j in range(1, ring.d + 1)]
     products = (ring.nf_vector(wedge(a, e)) for a in gammas for e in ring.basis)
-    rows = [list(v) for v in products if any(v)]
-    if not rows:
-        return QMatrix([], ring.dim), ()
-    reduced, pivots, _ = rref(QMatrix(rows, ring.dim))
-    return reduced, pivots
+    reduced, pivots = fraction_rref([v for v in products if any(v)], ring.dim)
+    return QMatrix(reduced, ring.dim), tuple(pivots)
 
 
 def homogeneous_components(z):
@@ -206,9 +227,12 @@ def fraction_pair_basis(ring, z):
 
 @lru_cache(maxsize=None)
 def _transposed_gram_inverse(Q):
-    gram = dense_gram(Q)
-    return invert(QMatrix([[gram[j, i] for j in range(Q.dim)]
-                           for i in range(Q.dim)], Q.dim))
+    gram, n = dense_gram(Q), Q.dim
+    rows, pivots = fraction_rref([[gram[j, i] for j in range(n)] +
+                                  [int(j == i) for j in range(n)]
+                                  for i in range(n)], 2 * n)
+    assert pivots[:n] == list(range(n)), "singular Gram matrix"
+    return QMatrix([row[n:] for row in rows], n)
 
 
 def fraction_nf_vector(ring, z):
@@ -223,7 +247,7 @@ def fraction_nf_vector(ring, z):
 
 def fraction_killed_by(ring, factors):
     """PairingQuotient.killed_by with every pairing row a Fraction row,
-    reduced by qlinalg.rref weight by weight: the reference for its
+    reduced by fraction_rref weight by weight: the reference for its
     fraction-free elimination."""
     blocks = []
     for w, cols in ring.weight_groups.items():
@@ -237,25 +261,24 @@ def fraction_killed_by(ring, factors):
                     for i in cols]
                 rows.extend([Fraction(p.get(l, 0)) for p in images]
                             for l in partners)
-                rows = [v for v in rref(QMatrix(rows, len(cols)))[0].to_rows()
-                        if any(v)]
+                rows = [v for v in fraction_rref(rows, len(cols))[0] if any(v)]
         blocks.append((cols, rows))
     return tuple(block_kernel(blocks, ring.dim)[0])
 
 
 def rref_kernel(m):
-    """The canonical kernel basis of a QMatrix read from its Fraction rref
-    (qlinalg.rref), one vector per free column: the reference for
-    qlinalg.block_kernel, which eliminates fraction-free."""
-    reduced, pivots, _ = rref(m)
+    """The canonical kernel basis of a QMatrix read from its fraction_rref,
+    one vector per free column: the reference for qlinalg.block_kernel,
+    which eliminates fraction-free."""
+    reduced, pivots = fraction_rref(m.to_rows(), m.ncols)
     out = []
     for f in range(m.ncols):
         if f in pivots:
             continue
         v = [Fraction(0)] * m.ncols
         v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -reduced[i, f]
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f]
         out.append(tuple(v))
     return out
 
@@ -271,12 +294,12 @@ def fold_bipoly(pairs):
 
 def per_weight_ranks(params, n_filter=None):
     """The rank of every (lambda, -lambda) block of the monomial pairing,
-    one weight at a time and in Fraction arithmetic (qlinalg.rank), keyed
+    one weight at a time and in Fraction arithmetic (fraction_rref), keyed
     and ordered as swpair.weight_ranks: the reference for it, which ranks
     one block per Weyl orbit, fraction-free."""
     monos = sorted(monomials_up_to(params.g, 2 * params.d),
                    key=lambda m: -m.degree)
-    return {w: rank(block, len(idx)) for w, idx, block in
+    return {w: len(fraction_rref(block, len(idx))[1]) for w, idx, block in
             _pair_blocks(params, n_filter, monos, monos)}
 
 
@@ -304,7 +327,7 @@ def weyl_orbit_dimension(g, r):
         cols = [m for m, w in zip(monos, weights) if w == lam]
         rows = [[mono_pair(params, c, m) for c in cols]
                 for m, w in zip(monos, weights) if w == neg]
-        total += rank(rows, len(cols)) * 2 ** j * comb(g, j)
+        total += len(fraction_rref(rows, len(cols))[1]) * 2 ** j * comb(g, j)
     return total
 
 
@@ -325,8 +348,8 @@ def dense_sector(quotient, generators):
                     if a + b <= cap:
                         row[index[(a, b)]] = c
                 rows.append(row)
-    reduced, pivots, rank = rref(QMatrix(rows, len(index)))
-    return QMatrix(reduced.to_rows()[:rank], len(index)), pivots
+    reduced, pivots = fraction_rref(rows, len(index))
+    return QMatrix(reduced[:len(pivots)], len(index)), tuple(pivots)
 
 
 @contextmanager

@@ -25,10 +25,16 @@ from swfloer.glueadj import (
     universal_matrix,
     vanishing_witness,
 )
-from swfloer.qlinalg import QMatrix, kernel_basis, reduce_by_rref, rref
+from swfloer.qlinalg import QMatrix, reduce_by_rref
 from swfloer.swpair import monos_of_degree
 
-from helpers import cap_table, dense_gram, product_row_ideal, product_row_kernel
+from helpers import (
+    cap_table,
+    dense_gram,
+    product_row_ideal,
+    product_row_kernel,
+    rref_kernel,
+)
 
 F = Fraction
 
@@ -283,7 +289,7 @@ def test_kernel_K_basis_matches_dense_stack():
         gcls = ExtClass.monomial(g, ExtMono(0, (j,)))
         images = [ring.nf_vector(wedge(gcls, e)) for e in ring.basis]
         rows.extend(list(row) for row in zip(*images))
-    assert kernel_K_basis(g, r) == tuple(kernel_basis(QMatrix(rows, ring.dim)))
+    assert kernel_K_basis(g, r) == tuple(rref_kernel(QMatrix(rows, ring.dim)))
 
 
 def test_kernel_K_basis_matches_product_rows():

@@ -35,7 +35,7 @@ from fractions import Fraction
 import pytest
 
 import swfloer
-from swfloer import cli, extalg, floerring, swpair
+from swfloer import checks, cli, extalg, floerring, swpair
 from swfloer.errors import InconsistentRecursion, SingularMatrix
 from swfloer.swpair import PairingQuotient
 from swfloer.symprod import SectorQuotient
@@ -136,7 +136,7 @@ def rank_one_short(integer_rref):
     return patched
 
 
-def always_singular(integer_invert):
+def always_singular(invert):
     def patched(m):
         raise SingularMatrix(f"matrix of size {m.nrows} has rank 0")
     return patched
@@ -162,6 +162,10 @@ def one_unit_column_short(divided):
     return lambda self, ab: divided(self, ab)[1:]
 
 
+def one_too_many(presentation_dimension):
+    return lambda g, r: presentation_dimension(g, r) + 1
+
+
 # (row of the ROADMAP survey, target, attribute, patch, checks)
 MUTANTS = [
     (2, PairingQuotient, "pair_vectors", inverse_with_the_negation,
@@ -181,6 +185,9 @@ MUTANTS = [
     (13, swpair, "_gamma_eval", unsigned, ["gram-structure"]),
     (14, extalg, "exact", denominator_dropped,
      ["relations-annihilate", "middle-coefficient"]),
+    # checks binds presentation_dimension by from-import
+    (15, checks, "presentation_dimension", one_too_many,
+     ["presentation-basis"]),
 ]
 
 
@@ -213,7 +220,7 @@ RAISING = [
     (swpair, "integer_rref", rank_one_short, "VerificationFailure"),
     (swpair, "_orbit", orbit_keyed_on_sum, "VerificationFailure"),
     (SectorQuotient, "_divided", one_unit_column_short, "VerificationFailure"),
-    (swpair, "integer_invert", always_singular, "SingularMatrix"),
+    (swpair, "invert", always_singular, "SingularMatrix"),
     (floerring, "_run_recursion", never_unique, "InconsistentRecursion"),
 ]
 

@@ -9,7 +9,6 @@ from swfloer.errors import DomainError, SingularMatrix
 from swfloer.qlinalg import (
     QMatrix,
     block_kernel,
-    integer_invert,
     integer_rref,
     invert,
     kernel_basis,
@@ -17,7 +16,7 @@ from swfloer.qlinalg import (
     rref,
 )
 
-from helpers import identity, matmul, rref_kernel
+from helpers import fraction_rref, identity, matmul, rref_kernel
 
 F = Fraction
 
@@ -107,14 +106,24 @@ def test_floats_rejected():
         QMatrix([[0.5]])
 
 
-def test_integer_invert_singular_raises():
-    with pytest.raises(SingularMatrix):
-        integer_invert(QMatrix([[2, 4], [3, 6]]))
+def test_invert_singular_message():
+    with pytest.raises(SingularMatrix, match="^matrix of size 2 has rank 1$"):
+        invert(QMatrix([[2, 4], [3, 6]]))
 
 
 def test_integer_rref_rejects_floats():
     with pytest.raises(DomainError):
         integer_rref([[1, 0.5]], 2)
+
+
+def test_float_entry_is_a_domain_error_in_rref_rank_and_invert():
+    # a QMatrix never holds a float, so none reaches rref or invert
+    with pytest.raises(DomainError):
+        rref(QMatrix([[1, 0.5]]))
+    with pytest.raises(DomainError):
+        rank([[F(1), 0.5]], 2)
+    with pytest.raises(DomainError):
+        invert(QMatrix([[1, 0], [0, 0.5]]))
 
 
 small_entries = st.integers(min_value=-7, max_value=7)
@@ -135,6 +144,21 @@ def square_matrices(draw, entries, max_dim=5):
     n = draw(st.integers(min_value=1, max_value=max_dim))
     return QMatrix(draw(st.lists(st.lists(entries, min_size=n, max_size=n),
                                  min_size=n, max_size=n)))
+
+
+@st.composite
+def sparse_matrices(draw, entries, max_dim=5, square=False):
+    """Matrices with 0 to max_dim rows and columns and many zero entries:
+    zero rows, all-zero and singular matrices are common."""
+    n = draw(st.integers(min_value=0, max_value=max_dim))
+    m = n if square else draw(st.integers(min_value=0, max_value=max_dim))
+    row = st.one_of(st.just([0] * m), st.lists(st.one_of(st.just(0), entries),
+                                              min_size=m, max_size=m))
+    return QMatrix(draw(st.lists(row, min_size=n, max_size=n)), m)
+
+
+any_matrices = st.one_of(sparse_matrices(small_entries),
+                         sparse_matrices(rational_entries))
 
 
 @st.composite
@@ -164,7 +188,8 @@ class TestProperties:
     def test_block_kernel_matches_assembled(self, bm):
         blocks, ncols, dense = bm
         m = QMatrix(dense, ncols)
-        assert block_kernel(blocks, ncols) == (kernel_basis(m), rref(m)[1])
+        assert block_kernel(blocks, ncols) == \
+            (rref_kernel(m), tuple(fraction_rref(dense, ncols)[1]))
 
     @given(st.one_of(matrices(), matrices(entries=rational_entries)))
     @settings(max_examples=100, deadline=None)
@@ -192,25 +217,42 @@ class TestProperties:
         _, _, rank = rref(m)
         assert rank + len(kernel_basis(m)) == m.ncols
 
-    @given(st.one_of(matrices(), matrices(entries=rational_entries)))
+    @given(any_matrices)
     @settings(max_examples=100, deadline=None)
     def test_integer_rref_rows_are_rref_multiples(self, m):
-        reduced, pivots, k = rref(m)
+        reduced, pivots = fraction_rref(m.to_rows(), m.ncols)
         rows, int_pivots = integer_rref(m.to_rows(), m.ncols)
-        assert len(int_pivots) == k == rank(m.to_rows(), m.ncols)
-        assert tuple(int_pivots) == pivots
-        for i, p in enumerate(pivots):
-            assert [Fraction(v, rows[i][p]) for v in rows[i]] == \
-                list(reduced.row(i))
+        assert int_pivots == pivots
+        assert all(type(v) is int for row in rows for v in row)
+        for row, want, p in zip(rows, reduced, pivots):
+            assert [Fraction(v, row[p]) for v in row] == want
+        assert not any(any(row) for row in rows[len(pivots):])
 
-    @given(st.one_of(square_matrices(small_entries),
-                     square_matrices(rational_entries)))
-    @settings(max_examples=100, deadline=None)
-    def test_integer_invert_is_invert(self, m):
-        try:
-            want = invert(m)
-        except SingularMatrix:
-            with pytest.raises(SingularMatrix):
-                integer_invert(m)
+    @given(any_matrices)
+    @settings(max_examples=150, deadline=None)
+    def test_rref_and_rank_are_the_fraction_rref(self, m):
+        # R keeps every row, the zero rows last, each pivot entry 1
+        reduced, pivots = fraction_rref(m.to_rows(), m.ncols)
+        assert rref(m) == (QMatrix(reduced, m.ncols), tuple(pivots), len(pivots))
+        assert rank(m.to_rows(), m.ncols) == len(pivots)
+
+    @given(st.one_of(sparse_matrices(small_entries, square=True),
+                     sparse_matrices(rational_entries, square=True),
+                     square_matrices(small_entries), any_matrices))
+    @settings(max_examples=200, deadline=None)
+    def test_invert_is_the_fraction_inverse(self, m):
+        n = m.nrows
+        if n != m.ncols:
+            with pytest.raises(DomainError,
+                               match="^only square matrices can be inverted$"):
+                invert(m)
+            return
+        rows, pivots = fraction_rref([list(m.row(i)) + [int(j == i) for j in range(n)]
+                                      for i in range(n)], 2 * n)
+        k = len([p for p in pivots if p < n])
+        if k < n:
+            with pytest.raises(SingularMatrix,
+                               match=f"^matrix of size {n} has rank {k}$"):
+                invert(m)
         else:
-            assert integer_invert(m) == want
+            assert invert(m) == QMatrix([row[n:] for row in rows], n)

@@ -25,7 +25,7 @@ from swfloer.extalg import (
     top_eval,
     wedge,
 )
-from swfloer.qlinalg import QMatrix, invert, kernel_basis
+from swfloer.qlinalg import QMatrix, invert
 from swfloer import floerring, swpair
 from swfloer.swpair import (
     PairingQuotient,
@@ -43,6 +43,7 @@ from helpers import (
     fraction_killed_by,
     per_weight_ranks,
     radical_elements,
+    rref_kernel,
     sw_sphere,
 )
 
@@ -378,7 +379,7 @@ def test_radical_vectors_match_dense_kernel(g, r):
         cols = monos_of_degree(g, q)
         m = QMatrix([[mono_pair(Q.params, c, m2) for c in cols] for m2 in rows],
                     ncols=len(cols))
-        assert Q.radical_vectors(q) == kernel_basis(m), (g, r, q)
+        assert Q.radical_vectors(q) == rref_kernel(m), (g, r, q)
 
 
 def test_no_mixed_corrections_below_genus_five():
